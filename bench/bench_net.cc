@@ -5,8 +5,10 @@
 // Both transports drive the SAME runtime::Server instance, so the diff
 // is the wire path alone: frame encode/decode, the bounded send queue,
 // and two copies across the kernel loopback. Reported per transport:
-// wall clock, queries/s, p50/p99 round-trip latency, and the row total
-// (which must be identical — the bench exits nonzero on a mismatch).
+// wall clock, queries/s, p50/p99 round-trip latency, and the row total.
+// Every query's answer must be identical on every transport: the bench
+// compares an order-independent digest of each query's row multiset
+// (plus its aggregate answer) and exits nonzero on a mismatch.
 //
 // Usage: bench_net [--transport=both|socket|in-process] [--retry]
 //                  [--scale=0.2] [--seed=42] [--iters=3] [--timeout=60]
@@ -41,6 +43,7 @@
 #include "net/server.h"
 #include "runtime/server.h"
 #include "util/flags.h"
+#include "util/hash.h"
 #include "util/span_kernels.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -64,9 +67,79 @@ std::string FormatMs(double ms) {
   return buf;
 }
 
+/// Order-independent digest of one query's answer: the row count plus
+/// two sums of per-row hashes, so it names the row multiset whatever
+/// order parallel emission produced; an aggregate answer folds in too.
+struct AnswerDigest {
+  uint64_t rows = 0;
+  uint64_t sum = 0;
+  uint64_t mixed_sum = 0;
+
+  void AddRow(const NodeId* row, size_t width) {
+    uint64_t h = Mix64(width);
+    for (size_t c = 0; c < width; ++c) h = Mix64(h ^ row[c]);
+    ++rows;
+    Fold(h);
+  }
+  void AddAggregate(const AggregateResult& a) {
+    Fold(Mix64(a.value.lo) ^ a.value.hi);
+    Fold(a.ask ? 1 : 2);
+    for (const AggregateGroup& g : a.groups) {
+      Fold(Mix64(Mix64(g.key) ^ g.value.lo) ^ g.value.hi);
+    }
+  }
+  void Fold(uint64_t h) {
+    sum += h;
+    mixed_sum += Mix64(h ^ 0x9e3779b97f4a7c15ull);
+  }
+  bool operator==(const AnswerDigest&) const = default;
+};
+
+std::string ToString(const AnswerDigest& d) {
+  char buf[80];
+  std::snprintf(buf, sizeof(buf), "%llu rows, digest %016llx%016llx",
+                static_cast<unsigned long long>(d.rows),
+                static_cast<unsigned long long>(d.sum),
+                static_cast<unsigned long long>(d.mixed_sum));
+  return buf;
+}
+
+/// In-process sink feeding an AnswerDigest.
+class DigestSink : public Sink {
+ public:
+  bool Emit(const std::vector<NodeId>& binding) override {
+    digest_.AddRow(binding.data(), binding.size());
+    return true;
+  }
+  bool EmitBatch(const NodeId* rows, size_t n, size_t width,
+                 size_t* handed) override {
+    for (size_t r = 0; r < n; ++r) digest_.AddRow(rows + r * width, width);
+    *handed = n;
+    return true;
+  }
+  uint64_t count() const override { return digest_.rows; }
+  AnswerDigest& digest() { return digest_; }
+
+ private:
+  AnswerDigest digest_;
+};
+
+/// Digest of a streamed answer, read from the flat result.
+AnswerDigest DigestOf(const net::QueryResult& result) {
+  AnswerDigest digest;
+  for (size_t r = 0; r < result.rows(); ++r) {
+    digest.AddRow(result.row(r).data(), result.width);
+  }
+  if (result.report.has_aggregate) {
+    digest.AddAggregate(result.report.aggregate);
+  }
+  return digest;
+}
+
 struct TransportResult {
-  std::vector<double> latencies_ms;    // one per query run, end to end
-  std::vector<uint64_t> rows_by_slot;  // first pass, for the cross-check
+  std::vector<double> latencies_ms;  // one per query run, end to end
+  /// First pass, for the cross-transport check.
+  std::vector<AnswerDigest> digest_by_slot;
   uint64_t total_rows = 0;
   uint64_t ok = 0;
   double wall_seconds = 0.0;
@@ -78,11 +151,11 @@ TransportResult RunInProcess(runtime::Server& server,
                              const std::vector<std::string>& workload,
                              int iters) {
   TransportResult result;
-  result.rows_by_slot.assign(workload.size(), 0);
+  result.digest_by_slot.assign(workload.size(), {});
   Stopwatch wall;
   for (int it = 0; it < iters; ++it) {
     for (size_t i = 0; i < workload.size(); ++i) {
-      CountingSink sink;
+      DigestSink sink;
       Stopwatch one;
       auto session = server.Submit(workload[i], &sink);
       if (!session.ok()) {
@@ -96,7 +169,10 @@ TransportResult RunInProcess(runtime::Server& server,
       if ((*session)->outcome() == runtime::QueryOutcome::kCompleted) {
         ++result.ok;
         result.total_rows += sink.count();
-        if (it == 0) result.rows_by_slot[i] = sink.count();
+        if ((*session)->has_aggregate()) {
+          sink.digest().AddAggregate((*session)->aggregate());
+        }
+        if (it == 0) result.digest_by_slot[i] = sink.digest();
       }
     }
   }
@@ -112,7 +188,7 @@ Result<TransportResult> RunSocket(const std::string& address,
   WF_ASSIGN_OR_RETURN(std::unique_ptr<net::Client> client,
                       net::Client::Connect(address));
   TransportResult result;
-  result.rows_by_slot.assign(workload.size(), 0);
+  result.digest_by_slot.assign(workload.size(), {});
   Stopwatch wall;
   for (int it = 0; it < iters; ++it) {
     for (size_t i = 0; i < workload.size(); ++i) {
@@ -122,11 +198,10 @@ Result<TransportResult> RunSocket(const std::string& address,
       if (!streamed.ok()) return streamed.status();  // wire fault: abort
       if (streamed->report.outcome == runtime::QueryOutcome::kCompleted) {
         ++result.ok;
-        const uint64_t rows = streamed->report.has_aggregate
-                                  ? streamed->report.rows
-                                  : streamed->rows.size();
-        result.total_rows += rows;
-        if (it == 0) result.rows_by_slot[i] = rows;
+        result.total_rows += streamed->report.has_aggregate
+                                 ? streamed->report.rows
+                                 : streamed->rows();
+        if (it == 0) result.digest_by_slot[i] = DigestOf(*streamed);
       }
     }
   }
@@ -143,7 +218,7 @@ Result<TransportResult> RunSocketRetry(
     const std::vector<std::string>& workload, int iters) {
   net::RetryingClient client(address);
   TransportResult result;
-  result.rows_by_slot.assign(workload.size(), 0);
+  result.digest_by_slot.assign(workload.size(), {});
   Stopwatch wall;
   for (int it = 0; it < iters; ++it) {
     for (size_t i = 0; i < workload.size(); ++i) {
@@ -153,11 +228,10 @@ Result<TransportResult> RunSocketRetry(
       if (!streamed.ok()) return streamed.status();  // wire fault: abort
       if (streamed->report.outcome == runtime::QueryOutcome::kCompleted) {
         ++result.ok;
-        const uint64_t rows = streamed->report.has_aggregate
-                                  ? streamed->report.rows
-                                  : streamed->rows.size();
-        result.total_rows += rows;
-        if (it == 0) result.rows_by_slot[i] = rows;
+        result.total_rows += streamed->report.has_aggregate
+                                 ? streamed->report.rows
+                                 : streamed->rows();
+        if (it == 0) result.digest_by_slot[i] = DigestOf(*streamed);
       }
     }
   }
@@ -267,18 +341,19 @@ int main(int argc, char** argv) {
   bool rows_match = true;
   for (size_t i = 0; i < workload.size(); ++i) {
     if (want_socket && want_inproc &&
-        inproc.rows_by_slot[i] != socket_side.rows_by_slot[i]) {
+        !(inproc.digest_by_slot[i] == socket_side.digest_by_slot[i])) {
       rows_match = false;
-      std::cerr << "MISMATCH query " << i << ": in-process rows "
-                << inproc.rows_by_slot[i] << " vs socket rows "
-                << socket_side.rows_by_slot[i] << "\n";
+      std::cerr << "MISMATCH query " << i << ": in-process "
+                << ToString(inproc.digest_by_slot[i]) << " vs socket "
+                << ToString(socket_side.digest_by_slot[i]) << "\n";
     }
     if (want_retry &&
-        socket_side.rows_by_slot[i] != retry_side.rows_by_slot[i]) {
+        !(socket_side.digest_by_slot[i] == retry_side.digest_by_slot[i])) {
       rows_match = false;
-      std::cerr << "MISMATCH query " << i << ": socket rows "
-                << socket_side.rows_by_slot[i] << " vs socket-retry rows "
-                << retry_side.rows_by_slot[i] << "\n";
+      std::cerr << "MISMATCH query " << i << ": socket "
+                << ToString(socket_side.digest_by_slot[i])
+                << " vs socket-retry "
+                << ToString(retry_side.digest_by_slot[i]) << "\n";
     }
   }
 

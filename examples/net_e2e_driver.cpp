@@ -45,6 +45,17 @@ std::vector<std::vector<NodeId>> Sorted(
   return rows;
 }
 
+/// A streamed result's flat rows, one vector per row, sorted.
+std::vector<std::vector<NodeId>> Sorted(const net::QueryResult& result) {
+  std::vector<std::vector<NodeId>> rows;
+  rows.reserve(result.rows());
+  for (size_t i = 0; i < result.rows(); ++i) {
+    const auto row = result.row(i);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return Sorted(std::move(rows));
+}
+
 bool SameAggregate(const AggregateResult& a, const AggregateResult& b) {
   if (a.kind != b.kind || a.ask != b.ask ||
       a.value.lo != b.value.lo || a.value.hi != b.value.hi ||
@@ -190,9 +201,9 @@ int main(int argc, char** argv) {
               got.admitted == expect.admitted,
           "query " + std::to_string(i) + " outcome " +
               runtime::QueryOutcomeName(got.outcome));
-    Check(Sorted(streamed->rows) == Sorted(sinks[i].rows()),
+    Check(Sorted(*streamed) == Sorted(sinks[i].rows()),
           "query " + std::to_string(i) + " rows bit-identical (" +
-              std::to_string(streamed->rows.size()) + " rows)");
+              std::to_string(streamed->rows()) + " rows)");
     if (expect.has_aggregate) {
       Check(got.has_aggregate &&
                 SameAggregate(got.aggregate, expect.aggregate),
@@ -273,7 +284,7 @@ int main(int argc, char** argv) {
     if (after.ok()) {
       auto rerun = (*after)->Run(queries[repeat_index]);
       healthy = rerun.ok() &&
-                Sorted(rerun->rows) == Sorted(sinks[repeat_index].rows());
+                Sorted(*rerun) == Sorted(sinks[repeat_index].rows());
       (void)(*after)->Goodbye();
     }
     Check(healthy, "server healthy after mid-stream client kill");

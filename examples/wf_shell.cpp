@@ -256,17 +256,17 @@ int RunRemoteShell(const Flags& flags) {
         std::cout << "count = " << aggregate.value.ToString();
       }
     } else {
-      uint64_t shown = 0;
-      for (const auto& row : result->rows) {
-        if (shown == print_limit) break;
+      const uint64_t shown =
+          std::min<uint64_t>(result->rows(), print_limit);
+      for (uint64_t r = 0; r < shown; ++r) {
+        const auto row = result->row(r);
         for (size_t i = 0; i < row.size(); ++i) {
           std::cout << (i == 0 ? "" : "\t") << row[i];
         }
         std::cout << "\n";
-        ++shown;
       }
-      if (result->rows.size() > shown) {
-        std::cout << "... and " << (result->rows.size() - shown)
+      if (result->rows() > shown) {
+        std::cout << "... and " << (result->rows() - shown)
                   << " more rows\n";
       }
       std::cout << report.rows << " embedding(s)";

@@ -43,8 +43,10 @@ struct DepthChords {
   bool all_isect = false;
 };
 
-/// Recursive enumeration state shared across frames.
-struct EmitContext {
+/// Recursive enumeration state shared across frames. One per worker on
+/// the parallel path, cache-line aligned so neighbouring workers' binding
+/// and stats writes never share a line.
+struct alignas(kCacheLineBytes) EmitContext {
   const QueryGraph* query;
   const AnswerGraph* ag;
   const std::vector<uint32_t>* order;

@@ -37,7 +37,8 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& address,
   hello.service_class = client->options_.service_class;
   WF_RETURN_NOT_OK(
       client->SendFrame(FrameType::kHello, EncodeHello(hello)));
-  WF_ASSIGN_OR_RETURN(Frame ack, client->ReadFrame());
+  Frame ack;
+  WF_RETURN_NOT_OK(client->ReadFrame(&ack));
   if (ack.type == FrameType::kError) {
     WF_ASSIGN_OR_RETURN(ErrorFrame error, DecodeError(ack.payload));
     return error.ToStatus();
@@ -57,7 +58,7 @@ Status Client::SendFrame(FrameType type, const std::string& payload) {
                         options_.io_timeout_ms);
 }
 
-Result<Frame> Client::ReadFrame() {
+Status Client::ReadFrame(Frame* frame) {
   char header_bytes[kFrameHeaderBytes];
   WF_RETURN_NOT_OK(sock_.ReadExact(header_bytes, kFrameHeaderBytes,
                                    options_.io_timeout_ms));
@@ -71,25 +72,23 @@ Result<Frame> Client::ReadFrame() {
     return Status::FrameCorrupt("undecodable frame header (" +
                                 header.status().message() + ")");
   }
-  Frame frame;
-  frame.type = header->type;
-  frame.payload.resize(header->payload_length);
+  frame->type = header->type;
+  frame->payload.resize(header->payload_length);
   if (header->payload_length > 0) {
-    WF_RETURN_NOT_OK(sock_.ReadExact(frame.payload.data(),
+    WF_RETURN_NOT_OK(sock_.ReadExact(frame->payload.data(),
                                      header->payload_length,
                                      options_.io_timeout_ms));
   }
-  WF_RETURN_NOT_OK(VerifyFramePayload(*header, frame.payload));
-  return frame;
+  return VerifyFramePayload(*header, frame->payload);
 }
 
-Result<Frame> Client::ReadFrameWithLiveness() {
-  if (options_.ping_interval_ms <= 0) return ReadFrame();
+Status Client::ReadFrameWithLiveness(Frame* frame) {
+  if (options_.ping_interval_ms <= 0) return ReadFrame(frame);
   const int64_t start = NowMs();
   int64_t last_ping = start;
   for (;;) {
     Status ready = sock_.WaitReadable(kLivenessSliceMs);
-    if (ready.ok()) return ReadFrame();
+    if (ready.ok()) return ReadFrame(frame);
     if (!ready.IsTimedOut()) return ready;
     const int64_t now = NowMs();
     if (options_.io_timeout_ms >= 0 &&
@@ -117,6 +116,10 @@ Result<QueryResult> Client::Run(const QueryFrame& query,
                                 const BatchHook& hook) {
   WF_RETURN_NOT_OK(SendFrame(FrameType::kQuery, EncodeQuery(query)));
   QueryResult result;
+  // One frame and one decoded batch serve the whole stream, so steady
+  // state reads and decodes into reused capacity.
+  Frame frame;
+  RowBatchFrame batch;
   bool have_aggregate = false;
   AggregateResult aggregate;
   // Overall deadline for the whole query, PONG traffic included — see
@@ -133,24 +136,19 @@ Result<QueryResult> Client::Run(const QueryFrame& query,
           std::to_string(options_.query_timeout_ms) +
           " ms (peer alive but the result stream is not progressing)");
     }
-    WF_ASSIGN_OR_RETURN(Frame frame, ReadFrameWithLiveness());
+    WF_RETURN_NOT_OK(ReadFrameWithLiveness(&frame));
     switch (frame.type) {
       case FrameType::kPong:
         break;  // liveness answer — not part of the query stream
       case FrameType::kRowBatch: {
-        WF_ASSIGN_OR_RETURN(RowBatchFrame batch,
-                            DecodeRowBatch(frame.payload));
+        WF_RETURN_NOT_OK(DecodeRowBatch(frame.payload, &batch));
         if (hook) hook(batch);
         if (result.width == 0) result.width = batch.width;
         if (batch.width != result.width) {
           return Status::Internal("row batch width changed mid-stream");
         }
-        const size_t rows = batch.rows();
-        for (size_t r = 0; r < rows; ++r) {
-          result.rows.emplace_back(
-              batch.data.begin() + r * batch.width,
-              batch.data.begin() + (r + 1) * batch.width);
-        }
+        result.data.insert(result.data.end(), batch.data.begin(),
+                           batch.data.end());
         break;
       }
       case FrameType::kAggregate: {
@@ -181,8 +179,9 @@ Status Client::SendCancel() {
 
 Status Client::Ping() {
   WF_RETURN_NOT_OK(SendFrame(FrameType::kPing, std::string()));
+  Frame frame;
   for (;;) {
-    WF_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
+    WF_RETURN_NOT_OK(ReadFrame(&frame));
     if (frame.type == FrameType::kPong) return Status::OK();
     if (frame.type == FrameType::kError) {
       WF_ASSIGN_OR_RETURN(ErrorFrame error, DecodeError(frame.payload));
@@ -194,8 +193,9 @@ Status Client::Ping() {
 
 Result<StatusFrame> Client::QueryStatus() {
   WF_RETURN_NOT_OK(SendFrame(FrameType::kStatus, std::string()));
+  Frame frame;
   for (;;) {
-    WF_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
+    WF_RETURN_NOT_OK(ReadFrame(&frame));
     if (frame.type == FrameType::kStatus) {
       return DecodeStatus(frame.payload);
     }
@@ -212,13 +212,10 @@ Result<StatusFrame> Client::QueryStatus() {
 
 Status Client::Goodbye() {
   Status status = SendFrame(FrameType::kGoodbye, std::string());
+  Frame frame;
   while (status.ok()) {
-    Result<Frame> frame = ReadFrame();
-    if (!frame.ok()) {
-      status = frame.status();
-      break;
-    }
-    if (frame->type == FrameType::kGoodbye) break;
+    status = ReadFrame(&frame);
+    if (status.ok() && frame.type == FrameType::kGoodbye) break;
     // Anything still queued ahead of the GOODBYE drains through here.
   }
   sock_.Close();

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,10 +49,18 @@ struct ClientOptions {
   FaultInjector* fault_injector = nullptr;
 };
 
-/// One streamed query's results, collected.
+/// One streamed query's results, collected flat: rows() rows of `width`
+/// columns, row-major in `data`, in arrival order.
 struct QueryResult {
-  uint32_t width = 0;
-  std::vector<std::vector<NodeId>> rows;
+  uint32_t width = 0;  // 0 until a ROW-BATCH arrived
+  std::vector<NodeId> data;
+
+  size_t rows() const { return width == 0 ? 0 : data.size() / width; }
+  /// Row i as a view into `data` (valid until `data` changes).
+  std::span<const NodeId> row(size_t i) const {
+    return {data.data() + i * width, width};
+  }
+
   /// Terminal REPORT, with the AGGREGATE frame (if any) folded back into
   /// report.aggregate.
   runtime::QueryReport report;
@@ -63,8 +72,9 @@ struct QueryResult {
 class Client {
  public:
   /// Called on every ROW-BATCH as it is read off the wire, before the
-  /// rows are appended to the result. Tests use it to pace reads (slow
-  /// reader) or to fire a CANCEL mid-stream.
+  /// rows are appended to the result. The batch is the stream's one
+  /// reused decode buffer: valid only during the call. Tests use it to
+  /// pace reads (slow reader) or to fire a CANCEL mid-stream.
   using BatchHook = std::function<void(const RowBatchFrame& batch)>;
 
   /// Connects and completes the HELLO handshake.
@@ -115,10 +125,11 @@ class Client {
       : sock_(std::move(sock)), options_(std::move(options)) {}
 
   Status SendFrame(FrameType type, const std::string& payload);
-  Result<Frame> ReadFrame();
+  /// Reads one frame into `frame`, reusing its payload buffer.
+  Status ReadFrame(Frame* frame);
   /// ReadFrame plus the ping-while-waiting liveness policy (see
   /// ClientOptions::ping_interval_ms).
-  Result<Frame> ReadFrameWithLiveness();
+  Status ReadFrameWithLiveness(Frame* frame);
 
   Socket sock_;
   ClientOptions options_;

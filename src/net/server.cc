@@ -57,13 +57,14 @@ struct SocketServer::Connection {
   std::atomic<bool> finished{false};
 };
 
-/// The per-query result sink: batches rows into ROW-BATCH frames and
-/// pushes them into the connection's bounded send queue. When the queue
-/// is full it suspends in kPushSlice waits, probing the same
-/// cancel/deadline pair the engine's own loops probe (InterruptProbe) —
-/// so a slow reader throttles exactly its own query: the engine blocks
-/// inside Emit on this query's driver thread, while every other query
-/// keeps its own driver and the pool's morsel interleaving.
+/// The per-query result sink: copies rows once, straight into ROW-BATCH
+/// frames (RowBatchFrameWriter), and pushes each full frame into the
+/// connection's bounded send queue. When the queue is full it suspends in
+/// kPushSlice waits, probing the same cancel/deadline pair the engine's
+/// own loops probe (InterruptProbe) — so a slow reader throttles exactly
+/// its own query: the engine blocks inside Emit on this query's driver
+/// thread, while every other query keeps its own driver and the pool's
+/// morsel interleaving.
 class SocketServer::StreamSink : public Sink {
  public:
   StreamSink(const SocketServerOptions& options, Connection* conn,
@@ -72,37 +73,29 @@ class SocketServer::StreamSink : public Sink {
         timeout_seconds_(timeout_seconds) {}
 
   bool Emit(const std::vector<NodeId>& binding) override {
-    if (!stream_status_.ok()) return false;  // sticky after any failure
-    if (width_ == 0) {
-      width_ = static_cast<uint32_t>(binding.size());
-      // Set the width immediately: batch_.rows() divides by it, and the
-      // flush-at-batch_rows_ check below depends on a real row count.
-      batch_.width = width_;
-      const uint64_t row_bytes =
-          std::max<uint64_t>(1, width_ * sizeof(NodeId));
-      // One encoded frame must fit in half the send buffer (strict
-      // high-water bound) and under the frame cap.
-      const uint64_t half_buffer =
-          options_.send_buffer_bytes / 2 > 16
-              ? options_.send_buffer_bytes / 2 - 16
-              : 1;
-      const uint64_t frame_cap = options_.max_frame_bytes > 8
-                                     ? options_.max_frame_bytes - 8
-                                     : 1;
-      uint64_t rows = options_.rows_per_batch;
-      rows = std::min(rows, half_buffer / row_bytes);
-      rows = std::min(rows, frame_cap / row_bytes);
-      batch_rows_ = std::max<uint64_t>(1, rows);
-      // The stream budget starts at the first row, not at admission: a
-      // suspended stream still times out, just measured from here.
-      probe_ = InterruptProbe(timeout_seconds_ > 0
-                                  ? Deadline::AfterSeconds(timeout_seconds_)
-                                  : Deadline(),
-                              &cancel_);
+    size_t handed = 0;
+    return EmitBatch(binding.data(), 1, binding.size(), &handed);
+  }
+
+  /// Copies the rows straight into the ROW-BATCH frame under
+  /// construction, pushing each frame as it fills.
+  bool EmitBatch(const NodeId* rows, size_t n, size_t width,
+                 size_t* handed) override {
+    *handed = 0;
+    if (n == 0) return true;
+    if (!stream_status_.ok()) {  // sticky after any failure
+      *handed = 1;               // the first row is the declined one
+      return false;
     }
-    batch_.data.insert(batch_.data.end(), binding.begin(), binding.end());
-    ++emitted_;
-    if (batch_.rows() + 1 > batch_rows_) return FlushBatch();
+    if (batch_rows_ == 0) Start(static_cast<uint32_t>(width));
+    while (*handed < n) {
+      const size_t take =
+          std::min<size_t>(n - *handed, batch_rows_ - writer_.rows());
+      writer_.Append(rows + *handed * width, take);
+      *handed += take;
+      emitted_ += take;
+      if (writer_.rows() == batch_rows_ && !FlushBatch()) return false;
+    }
     return true;
   }
 
@@ -111,7 +104,7 @@ class SocketServer::StreamSink : public Sink {
   /// Flushes the partial tail batch. Call after the session finished
   /// (no Emit can be in flight).
   void Finish() {
-    if (stream_status_.ok() && !batch_.data.empty()) FlushBatch();
+    if (stream_status_.ok() && writer_.rows() > 0) FlushBatch();
   }
 
   /// Reader thread: unstick a suspended Emit (CANCEL frame, GOODBYE,
@@ -125,13 +118,30 @@ class SocketServer::StreamSink : public Sink {
   const Status& stream_status() const { return stream_status_; }
 
  private:
-  bool FlushBatch() {
-    batch_.width = width_;
-    std::string frame;
-    AppendFrame(FrameType::kRowBatch, EncodeRowBatch(batch_), &frame);
-    batch_.data.clear();
-    return Push(std::move(frame));
+  /// First row: sizes the batches and starts the stream budget.
+  void Start(uint32_t width) {
+    const uint64_t row_bytes = std::max<uint64_t>(1, width * sizeof(NodeId));
+    // One encoded frame must fit in half the send buffer (strict
+    // high-water bound) and under the frame cap.
+    const uint64_t half_buffer = options_.send_buffer_bytes / 2 > 16
+                                     ? options_.send_buffer_bytes / 2 - 16
+                                     : 1;
+    const uint64_t frame_cap =
+        options_.max_frame_bytes > 8 ? options_.max_frame_bytes - 8 : 1;
+    uint64_t rows = options_.rows_per_batch;
+    rows = std::min(rows, half_buffer / row_bytes);
+    rows = std::min(rows, frame_cap / row_bytes);
+    batch_rows_ = std::max<uint64_t>(1, rows);
+    writer_.Reset(width, batch_rows_);
+    // The stream budget starts at the first row, not at admission: a
+    // suspended stream still times out, just measured from here.
+    probe_ = InterruptProbe(timeout_seconds_ > 0
+                                ? Deadline::AfterSeconds(timeout_seconds_)
+                                : Deadline(),
+                            &cancel_);
   }
+
+  bool FlushBatch() { return Push(writer_.Finish()); }
 
   /// Back-pressured enqueue; on refusal records why in stream_status_.
   bool Push(std::string frame) {
@@ -176,9 +186,8 @@ class SocketServer::StreamSink : public Sink {
   const SocketServerOptions& options_;
   Connection* conn_;
   const double timeout_seconds_;
-  uint32_t width_ = 0;
-  uint64_t batch_rows_ = 1;
-  RowBatchFrame batch_;
+  uint64_t batch_rows_ = 0;  // 0 until the first row arrives
+  RowBatchFrameWriter writer_;
   uint64_t emitted_ = 0;
   std::atomic<bool> cancel_{false};
   InterruptProbe probe_;

@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include "util/checksum.h"
+
 namespace wireframe {
 namespace net {
 
@@ -82,37 +84,6 @@ const char* FrameTypeName(FrameType type) {
   }
   return "unknown";
 }
-
-namespace {
-
-/// Resumable Fletcher-16 with the customary 255 modulus, deferred so the
-/// inner loop is two adds per byte. Resumability lets the frame checksum
-/// chain the 6-byte header prefix and the payload without concatenating.
-struct Fletcher16 {
-  uint32_t sum1 = 0;
-  uint32_t sum2 = 0;
-
-  void Mix(const char* data, size_t n) {
-    size_t i = 0;
-    while (i < n) {
-      // 5802 iterations is the largest block that cannot overflow u32
-      // (both sums enter each block already reduced below 255).
-      const size_t block = n - i < 5802 ? n - i : 5802;
-      for (size_t end = i + block; i < end; ++i) {
-        sum1 += static_cast<unsigned char>(data[i]);
-        sum2 += sum1;
-      }
-      sum1 %= 255;
-      sum2 %= 255;
-    }
-  }
-
-  uint16_t Take() const {
-    return static_cast<uint16_t>((sum2 << 8) | sum1);
-  }
-};
-
-}  // namespace
 
 uint16_t FrameChecksum(const char* data, size_t n) {
   Fletcher16 fletcher;
@@ -261,20 +232,53 @@ std::string EncodeRowBatch(const RowBatchFrame& batch) {
   return payload;
 }
 
-Result<RowBatchFrame> DecodeRowBatch(const std::string& payload) {
+Status DecodeRowBatch(const std::string& payload, RowBatchFrame* batch) {
   if (payload.size() < 8) return Malformed("ROW-BATCH");
-  RowBatchFrame batch;
-  batch.width = LoadU32Le(payload.data());
+  const uint32_t width = LoadU32Le(payload.data());
   const uint32_t rows = LoadU32Le(payload.data() + 4);
   const size_t expected =
-      8 + static_cast<size_t>(rows) * batch.width * sizeof(NodeId);
-  if (batch.width == 0 || payload.size() != expected) {
+      8 + static_cast<size_t>(rows) * width * sizeof(NodeId);
+  if (width == 0 || payload.size() != expected) {
     return Malformed("ROW-BATCH");
   }
-  batch.data.resize(static_cast<size_t>(rows) * batch.width);
-  std::memcpy(batch.data.data(), payload.data() + 8,
-              batch.data.size() * sizeof(NodeId));
-  return batch;
+  batch->width = width;
+  batch->data.resize(static_cast<size_t>(rows) * width);
+  std::memcpy(batch->data.data(), payload.data() + 8,
+              batch->data.size() * sizeof(NodeId));
+  return Status::OK();
+}
+
+void RowBatchFrameWriter::Reset(uint32_t width, size_t capacity_rows) {
+  width_ = width;
+  rows_ = 0;
+  capacity_rows_ = capacity_rows;
+  frame_.clear();
+  frame_.reserve(kFrameHeaderBytes + 8 +
+                 capacity_rows * width * sizeof(NodeId));
+  frame_.resize(kFrameHeaderBytes + 8);  // header + width + row count
+}
+
+void RowBatchFrameWriter::Append(const NodeId* rows, size_t n) {
+  frame_.append(reinterpret_cast<const char*>(rows),
+                n * width_ * sizeof(NodeId));
+  rows_ += n;
+}
+
+std::string RowBatchFrameWriter::Finish() {
+  char* payload = frame_.data() + kFrameHeaderBytes;
+  const size_t payload_bytes = frame_.size() - kFrameHeaderBytes;
+  // Width and row count as EncodeRowBatch's WireWriter lays them out.
+  const uint32_t rows = static_cast<uint32_t>(rows_);
+  std::memcpy(payload, &width_, sizeof width_);
+  std::memcpy(payload + 4, &rows, sizeof rows);
+  EncodeFrameHeader(
+      {static_cast<uint32_t>(payload_bytes), kWireVersion,
+       FrameType::kRowBatch,
+       FrameChecksum(FrameType::kRowBatch, payload, payload_bytes)},
+      frame_.data());
+  std::string frame = std::move(frame_);
+  Reset(width_, capacity_rows_);
+  return frame;
 }
 
 std::string EncodeAggregate(const AggregateResult& result) {

@@ -77,9 +77,11 @@ struct FrameHeader {
 
 inline constexpr size_t kFrameHeaderBytes = 8;
 
-/// Fletcher-16 over `n` bytes. Cheap (two adds per byte), catches every
-/// single-bit flip and all but ~0.002% of random corruption — plenty for
-/// detecting fault-injected damage; this is not a cryptographic MAC.
+/// Fletcher-16 over `n` bytes (util/checksum.h: an AVX2 body where the
+/// CPU has it, bit-identical to the byte-serial one). Cheap, catches
+/// every single-bit flip and all but ~0.002% of random corruption —
+/// plenty for detecting fault-injected damage; this is not a
+/// cryptographic MAC.
 uint16_t FrameChecksum(const char* data, size_t n);
 
 /// The checksum a well-formed frame of `type` carrying `payload` must
@@ -241,7 +243,34 @@ struct RowBatchFrame {
   size_t rows() const { return width == 0 ? 0 : data.size() / width; }
 };
 std::string EncodeRowBatch(const RowBatchFrame& batch);
-Result<RowBatchFrame> DecodeRowBatch(const std::string& payload);
+/// Decodes into `batch`, reusing its row storage (a stream reader keeps
+/// one batch for the whole stream).
+Status DecodeRowBatch(const std::string& payload, RowBatchFrame* batch);
+
+/// Builds wire-ready ROW-BATCH frames in place: rows are copied once,
+/// straight into the frame string behind room for the header, and
+/// Finish() fills in the header, width, row count and checksum. The
+/// bytes equal AppendFrame(kRowBatch, EncodeRowBatch(batch)) for the
+/// same rows, minus that path's two intermediate copies.
+class RowBatchFrameWriter {
+ public:
+  /// Starts an empty frame of `width`-column rows with room for
+  /// `capacity_rows` rows (more may be appended; the string grows).
+  void Reset(uint32_t width, size_t capacity_rows);
+  /// Appends `n` rows of width() columns, row-major.
+  void Append(const NodeId* rows, size_t n);
+  /// Completes the frame and returns it; the writer restarts empty with
+  /// the same width and capacity.
+  std::string Finish();
+
+  size_t rows() const { return rows_; }
+
+ private:
+  uint32_t width_ = 0;
+  size_t rows_ = 0;
+  size_t capacity_rows_ = 0;
+  std::string frame_;
+};
 
 /// AGGREGATE: the out-of-band aggregate answer (COUNT/ASK/GROUP BY), sent
 /// once before REPORT when the query carried one.

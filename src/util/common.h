@@ -25,6 +25,10 @@ inline constexpr LabelId kInvalidLabel = std::numeric_limits<LabelId>::max();
 /// Sentinel for "no variable".
 inline constexpr VarId kInvalidVar = std::numeric_limits<VarId>::max();
 
+/// Alignment of per-worker state written on every row (enumeration
+/// contexts, sink shards), so neighbouring workers never share a line.
+inline constexpr size_t kCacheLineBytes = 64;
+
 /// A directed labeled edge of the data graph: ⟨subject, predicate, object⟩.
 struct Triple {
   NodeId subject = kInvalidNode;

@@ -49,8 +49,9 @@ bool KernelAvx2Compiled();
 /// True iff the running CPU reports AVX2 (always false off x86).
 bool CpuHasAvx2();
 
-/// Pins IntersectSorted to the scalar body regardless of CPU support
-/// (tests and the bench baselines). Setting the WIREFRAME_FORCE_SCALAR_KERNELS
+/// Pins IntersectSorted and Fletcher16::Mix (util/checksum.h) to their
+/// scalar bodies regardless of CPU support (tests and the bench
+/// baselines). Setting the WIREFRAME_FORCE_SCALAR_KERNELS
 /// environment variable (to anything but "0") before first use has the
 /// same effect and cannot be un-forced at run time.
 void ForceScalarKernels(bool force);

@@ -1,13 +1,14 @@
 // The only translation unit compiled with -mavx2 (see
 // src/util/CMakeLists.txt): keeping every AVX2 instruction behind this
 // file boundary means the rest of the binary still runs on pre-AVX2
-// hardware — the dispatcher in span_kernels.cc only calls in here after a
-// cpuid check.
+// hardware — the dispatchers in span_kernels.cc and checksum.cc only call
+// in here after a cpuid check.
 
 #include "util/span_kernels_internal.h"
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 
 namespace wireframe::internal {
@@ -98,6 +99,83 @@ size_t IntersectSortedAvx2(const NodeId* a, size_t na, const NodeId* b,
     }
   }
   return k;
+}
+
+namespace {
+
+/// Sum of the eight u32 lanes.
+uint64_t HorizontalSum32(__m256i v) {
+  alignas(32) uint32_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
+  uint64_t sum = 0;
+  for (uint32_t lane : lanes) sum += lane;
+  return sum;
+}
+
+/// Per-byte weights 32..1 of the weighted sum below.
+struct FletcherWeights {
+  alignas(32) int8_t w[32];
+};
+
+constexpr FletcherWeights MakeFletcherWeights() {
+  FletcherWeights weights{};
+  for (int j = 0; j < 32; ++j) weights.w[j] = static_cast<int8_t>(32 - j);
+  return weights;
+}
+
+constexpr FletcherWeights kFletcherWeights = MakeFletcherWeights();
+
+/// 32-byte chunks per reduction block, sized so no u32 lane can
+/// overflow: per block a byte-sum lane reaches at most 8 * 255 * 1024
+/// (2.1e6), a prefix lane at most 2040 * 1024^2 / 2 (1.1e9), and a
+/// weighted lane at most 31110 * 1024 (3.2e7).
+constexpr size_t kFletcherBlockChunks = 1024;
+
+}  // namespace
+
+void Fletcher16MixAvx2(const unsigned char* data, size_t n, uint32_t* sum1,
+                       uint32_t* sum2) {
+  // Over one block of C chunks of 32 bytes b[32c + j], starting from
+  // sums (s1, s2), the byte-serial recurrence yields
+  //   s1' = s1 + sum b
+  //   s2' = s2 + 32C * s1 + 32 * sum_c (C - 1 - c) S_c
+  //            + sum_{c,j} (32 - j) b[32c + j]
+  // where S_c is chunk c's byte sum. The middle term is the running
+  // prefix of chunk sums accumulated once per chunk; the last one is a
+  // multiply-add against the weights 32..1. All three reduce mod 255
+  // exactly, so the result matches the scalar loop bit for bit.
+  const __m256i weights =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(kFletcherWeights.w));
+  const __m256i ones = _mm256_set1_epi16(1);
+  const __m256i zero = _mm256_setzero_si256();
+  uint64_t s1 = *sum1;
+  uint64_t s2 = *sum2;
+  while (n >= 32) {
+    const size_t chunks = std::min(n / 32, kFletcherBlockChunks);
+    __m256i bytes = zero;     // byte sums (sad: one u64 lane per 8 bytes)
+    __m256i prefix = zero;    // sum over chunks of `bytes` before each
+    __m256i weighted = zero;  // sum of (32 - j) * b, per u32 lane
+    for (size_t c = 0; c < chunks; ++c, data += 32) {
+      const __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
+      prefix = _mm256_add_epi32(prefix, bytes);
+      bytes = _mm256_add_epi32(bytes, _mm256_sad_epu8(x, zero));
+      weighted = _mm256_add_epi32(
+          weighted,
+          _mm256_madd_epi16(_mm256_maddubs_epi16(x, weights), ones));
+    }
+    const uint64_t block_bytes = chunks * 32;
+    s2 += block_bytes * s1 + 32 * HorizontalSum32(prefix);
+    s2 = (s2 + HorizontalSum32(weighted)) % 255;
+    s1 = (s1 + HorizontalSum32(bytes)) % 255;
+    n -= block_bytes;
+  }
+  for (size_t i = 0; i < n; ++i) {  // < 32 tail bytes: no overflow
+    s1 += data[i];
+    s2 += s1;
+  }
+  *sum1 = static_cast<uint32_t>(s1 % 255);
+  *sum2 = static_cast<uint32_t>(s2 % 255);
 }
 
 }  // namespace wireframe::internal

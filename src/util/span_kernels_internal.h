@@ -2,6 +2,7 @@
 #define WIREFRAME_UTIL_SPAN_KERNELS_INTERNAL_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "util/common.h"
 
@@ -15,6 +16,12 @@ namespace wireframe::internal {
 /// min(na, nb) + kIntersectPad capacity.
 size_t IntersectSortedAvx2(const NodeId* a, size_t na, const NodeId* b,
                            size_t nb, NodeId* out);
+
+/// AVX2 body of Fletcher16::Mix (util/checksum.h), same TU and calling
+/// rules as above. Folds `n` bytes into the reduced sums *sum1/*sum2 and
+/// leaves them reduced, bit-identical to the byte-serial loop.
+void Fletcher16MixAvx2(const unsigned char* data, size_t n, uint32_t* sum1,
+                       uint32_t* sum2);
 
 }  // namespace wireframe::internal
 

@@ -94,7 +94,7 @@ TEST(Backpressure, SlowReaderThrottlesOnlyItsOwnQuery) {
   // The slow stream itself completed, in order and in full.
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.outcome, runtime::QueryOutcome::kCompleted);
-  EXPECT_EQ(result->rows.size(), 22500u);
+  EXPECT_EQ(result->rows(), 22500u);
 
   // Buffer accounting, read before the connection closes: the stream
   // stalled at least once and the high-water mark respected the bound.

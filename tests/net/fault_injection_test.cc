@@ -22,6 +22,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "runtime/server.h"
+#include "testutil/rows.h"
 
 namespace wireframe {
 namespace net {
@@ -68,7 +69,7 @@ class FaultNetTest : public ::testing::Test {
     EXPECT_TRUE(clean.ok()) << clean.status().ToString();
     auto baseline = (*clean)->Run(query_);
     EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
-    baseline_rows_ = Sorted(baseline->rows);
+    baseline_rows_ = Sorted(testutil::RowVectors(*baseline));
     EXPECT_FALSE(baseline_rows_.empty());
     EXPECT_TRUE((*clean)->Goodbye().ok());
   }
@@ -104,7 +105,7 @@ TEST_F(FaultNetTest, ShortWritesStillDeliverTheFrameIntact) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto result = (*client)->Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(testutil::RowVectors(*result)), baseline_rows_);
   EXPECT_GT(injector.counters().short_io_spans, 0u);
   EXPECT_TRUE((*client)->Goodbye().ok());
 }
@@ -123,7 +124,7 @@ TEST_F(FaultNetTest, HeadersSplitAcrossReadsStillParse) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto result = (*client)->Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(testutil::RowVectors(*result)), baseline_rows_);
   EXPECT_TRUE((*client)->Goodbye().ok());
 }
 
@@ -151,7 +152,7 @@ TEST_F(FaultNetTest, FlippedQueryBitIsCaughtByTheChecksum) {
   ASSERT_TRUE(after.ok());
   auto rerun = (*after)->Run(query_);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  EXPECT_EQ(Sorted(rerun->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(testutil::RowVectors(*rerun)), baseline_rows_);
   EXPECT_TRUE((*after)->Goodbye().ok());
 }
 
@@ -194,7 +195,7 @@ TEST_F(FaultNetTest, MidFrameDisconnectIsTypedAndContained) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   auto rerun = (*after)->Run(query_);
   ASSERT_TRUE(rerun.ok());
-  EXPECT_EQ(Sorted(rerun->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(testutil::RowVectors(*rerun)), baseline_rows_);
   EXPECT_TRUE((*after)->Goodbye().ok());
 }
 
@@ -231,7 +232,7 @@ TEST_F(FaultNetTest, DelayAndBlackholeOnlySlowTheStream) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto result = (*client)->Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(testutil::RowVectors(*result)), baseline_rows_);
   EXPECT_EQ(injector.counters().delays, 1u);
   EXPECT_EQ(injector.counters().blackholes, 1u);
   EXPECT_TRUE(injector.Drained());

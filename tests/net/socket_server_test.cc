@@ -23,6 +23,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/server.h"
+#include "testutil/rows.h"
 
 namespace wireframe {
 namespace net {
@@ -111,7 +112,8 @@ TEST_F(SocketServerTest, StreamedRowsMatchRunBatchBitExactly) {
     auto streamed = (*client)->Run(queries[i]);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     EXPECT_EQ(streamed->report.outcome, expect[i].outcome) << "query " << i;
-    EXPECT_EQ(Sorted(streamed->rows), Sorted(sinks[i].rows()))
+    EXPECT_EQ(Sorted(testutil::RowVectors(*streamed)),
+              Sorted(sinks[i].rows()))
         << "query " << i;
     if (expect[i].has_aggregate) {
       ASSERT_TRUE(streamed->report.has_aggregate);
@@ -125,7 +127,7 @@ TEST_F(SocketServerTest, StreamedRowsMatchRunBatchBitExactly) {
   auto repeat = (*client)->Run(queries[5]);
   ASSERT_TRUE(repeat.ok());
   EXPECT_TRUE(repeat->report.cache_hit);
-  EXPECT_EQ(Sorted(repeat->rows), Sorted(sinks[5].rows()));
+  EXPECT_EQ(Sorted(testutil::RowVectors(*repeat)), Sorted(sinks[5].rows()));
   EXPECT_TRUE((*client)->Goodbye().ok());
 }
 
@@ -284,6 +286,43 @@ class BlowupNetTest : public ::testing::Test {
   std::unique_ptr<SocketServer> net_;
 };
 
+TEST_F(BlowupNetTest, StreamedFramesAreByteIdenticalToTwoCopyEncoding) {
+  // The server writes each ROW-BATCH once, straight into the send-queue
+  // string; every frame off the wire must equal what the two-copy
+  // AppendFrame(EncodeRowBatch(...)) path produces for the same rows.
+  auto sock = RawHandshake(net_->address());
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  QueryFrame query;
+  query.sparql = kBlowup;
+  std::string wire;
+  AppendFrame(FrameType::kQuery, EncodeQuery(query), &wire);
+  ASSERT_TRUE(sock->WriteAll(wire.data(), wire.size(), 5000).ok());
+  uint64_t rows = 0;
+  uint64_t full_frames = 0;
+  for (;;) {
+    char header[kFrameHeaderBytes];
+    ASSERT_TRUE(sock->ReadExact(header, kFrameHeaderBytes, 5000).ok());
+    auto decoded = DecodeFrameHeader(header, kDefaultMaxFrameBytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    std::string payload(decoded->payload_length, '\0');
+    ASSERT_TRUE(
+        sock->ReadExact(payload.data(), payload.size(), 5000).ok());
+    if (decoded->type == FrameType::kReport) break;
+    ASSERT_EQ(decoded->type, FrameType::kRowBatch);
+    RowBatchFrame batch;
+    Status decoded_batch = DecodeRowBatch(payload, &batch);
+    ASSERT_TRUE(decoded_batch.ok()) << decoded_batch.ToString();
+    std::string expected;
+    AppendFrame(FrameType::kRowBatch, EncodeRowBatch(batch), &expected);
+    ASSERT_EQ(std::string(header, kFrameHeaderBytes) + payload, expected)
+        << "frame after " << rows << " rows";
+    rows += batch.rows();
+    full_frames += batch.rows() == 128 ? 1 : 0;
+  }
+  EXPECT_EQ(rows, 90000u);
+  EXPECT_EQ(full_frames, 90000u / 128) << "full frames plus one tail";
+}
+
 TEST_F(BlowupNetTest, CancelFrameStopsTheStream) {
   std::unique_ptr<Client> client = SmallBufferClient();
   bool cancelled = false;
@@ -295,7 +334,7 @@ TEST_F(BlowupNetTest, CancelFrameStopsTheStream) {
   });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.outcome, runtime::QueryOutcome::kCancelled);
-  EXPECT_LT(result->rows.size(), 90000u);  // cut short of the full set
+  EXPECT_LT(result->rows(), 90000u);  // cut short of the full set
   // The connection survives a cancel; the next query completes.
   QueryFrame small;
   small.sparql = kBlowup;
@@ -316,7 +355,7 @@ TEST_F(BlowupNetTest, QueryFrameOverridesRowBudget) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.outcome,
             runtime::QueryOutcome::kBudgetExhausted);
-  EXPECT_EQ(result->rows.size(), 5u);
+  EXPECT_EQ(result->rows(), 5u);
   EXPECT_TRUE(client->Goodbye().ok());
 }
 
@@ -346,7 +385,7 @@ TEST_F(BlowupNetTest, KilledClientCancelsItsQueryAndServerSurvives) {
   query.row_budget = 100;
   auto result = after->Run(query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->rows.size(), 100u);
+  EXPECT_EQ(result->rows(), 100u);
   EXPECT_TRUE(after->Goodbye().ok());
 }
 
@@ -392,7 +431,7 @@ TEST_F(BlowupNetTest, RejectedSubmissionCarriesResolvedClassAndStatus) {
   EXPECT_EQ(rejected.outcome, runtime::QueryOutcome::kFailed);
   // A's own stream was only slowed, never corrupted.
   EXPECT_EQ(result->report.outcome, runtime::QueryOutcome::kCompleted);
-  EXPECT_EQ(result->rows.size(), 90000u);
+  EXPECT_EQ(result->rows(), 90000u);
   EXPECT_TRUE(slow->Goodbye().ok());
 }
 

@@ -3,6 +3,7 @@
 // (b) reject truncated payloads, and (c) reject trailing garbage —
 // a frame that does not parse EXACTLY is malformed, full stop.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -173,11 +174,11 @@ TEST(WireFrames, RowBatchRoundTrip) {
   RowBatchFrame batch;
   batch.width = 3;
   batch.data = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  auto decoded = DecodeRowBatch(EncodeRowBatch(batch));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->width, 3u);
-  EXPECT_EQ(decoded->rows(), 3u);
-  EXPECT_EQ(decoded->data, batch.data);
+  RowBatchFrame decoded;
+  ASSERT_TRUE(DecodeRowBatch(EncodeRowBatch(batch), &decoded).ok());
+  EXPECT_EQ(decoded.width, 3u);
+  EXPECT_EQ(decoded.rows(), 3u);
+  EXPECT_EQ(decoded.data, batch.data);
 }
 
 TEST(WireFrames, RowBatchRejectsSizeMismatch) {
@@ -186,8 +187,58 @@ TEST(WireFrames, RowBatchRejectsSizeMismatch) {
   batch.data = {1, 2, 3, 4, 5, 6};
   std::string payload = EncodeRowBatch(batch);
   payload.resize(payload.size() - 1);  // truncate one byte
-  EXPECT_FALSE(DecodeRowBatch(payload).ok());
-  EXPECT_FALSE(DecodeRowBatch(std::string()).ok());
+  RowBatchFrame decoded;
+  EXPECT_FALSE(DecodeRowBatch(payload, &decoded).ok());
+  EXPECT_FALSE(DecodeRowBatch(std::string(), &decoded).ok());
+}
+
+/// The two-copy encoding the one-copy writer must reproduce exactly.
+std::string TwoCopyFrame(const RowBatchFrame& batch) {
+  std::string frame;
+  AppendFrame(FrameType::kRowBatch, EncodeRowBatch(batch), &frame);
+  return frame;
+}
+
+TEST(RowBatchFrameWriter, ByteIdenticalToEncodeThenAppendFrame) {
+  constexpr uint32_t kRowsPerBatch = 1024;  // SocketServer's default
+  for (uint32_t width = 1; width <= 12; ++width) {
+    RowBatchFrameWriter writer;
+    writer.Reset(width, kRowsPerBatch);
+    for (uint32_t rows : {0u, 1u, kRowsPerBatch}) {
+      RowBatchFrame batch;
+      batch.width = width;
+      for (uint32_t i = 0; i < rows * width; ++i) {
+        batch.data.push_back(i * 2654435761u + width);
+      }
+      // Fed in uneven pieces, through a writer reused across frames.
+      size_t pos = 0;
+      for (size_t piece = 1; pos < rows; ++piece) {
+        const size_t n = std::min<size_t>(piece * piece, rows - pos);
+        writer.Append(batch.data.data() + pos * width, n);
+        pos += n;
+      }
+      EXPECT_EQ(writer.rows(), rows);
+      const std::string frame = writer.Finish();
+      EXPECT_EQ(frame, TwoCopyFrame(batch))
+          << "width " << width << " rows " << rows;
+      EXPECT_EQ(writer.rows(), 0u) << "Finish restarts the writer empty";
+    }
+  }
+}
+
+TEST(WireFrames, RowBatchDecodeReusesTheBatch) {
+  RowBatchFrame batch;
+  batch.width = 2;
+  batch.data = {1, 2, 3, 4};
+  RowBatchFrame reused;
+  ASSERT_TRUE(DecodeRowBatch(EncodeRowBatch(batch), &reused).ok());
+  EXPECT_EQ(reused.data, batch.data);
+  batch.width = 1;
+  batch.data = {9};
+  ASSERT_TRUE(DecodeRowBatch(EncodeRowBatch(batch), &reused).ok());
+  EXPECT_EQ(reused.width, 1u);
+  EXPECT_EQ(reused.data, batch.data);
+  EXPECT_FALSE(DecodeRowBatch(std::string("short"), &reused).ok());
 }
 
 TEST(WireFrames, AggregateRoundTrip) {
