@@ -82,10 +82,10 @@ void BM_CatalogBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CatalogBuild)->Unit(benchmark::kMillisecond);
 
-void BM_PairSetAdd(benchmark::State& state) {
+void BM_PairSetBuilderAdd(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    PairSet set;
+    PairSetBuilder set;
     for (uint32_t i = 0; i < n; ++i) {
       set.Add(i % 997, i % 1009);
     }
@@ -93,14 +93,14 @@ void BM_PairSetAdd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_PairSetAdd)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_PairSetBuilderAdd)->Arg(1000)->Arg(100000);
 
 void BM_BurnbackCascade(benchmark::State& state) {
   const uint32_t fan = static_cast<uint32_t>(state.range(0));
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
   for (auto _ : state) {
     state.PauseTiming();
-    AnswerGraph ag(q);
+    AnswerGraphBuilder ag(q);
     for (uint32_t i = 0; i < fan; ++i) ag.Set(0).Add(i, 1000000);
     ag.MarkMaterialized(0);
     ag.Set(1).Add(1000000, 2000000);
@@ -117,11 +117,14 @@ BENCHMARK(BM_BurnbackCascade)->Arg(100)->Arg(10000);
 void BM_Defactorize(benchmark::State& state) {
   const uint32_t fan = static_cast<uint32_t>(state.range(0));
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
-  AnswerGraph ag(q);
-  for (uint32_t i = 0; i < fan; ++i) ag.Set(0).Add(i, 1000000);
-  for (uint32_t i = 0; i < fan; ++i) ag.Set(1).Add(1000000, 2000000 + i);
-  ag.MarkMaterialized(0);
-  ag.MarkMaterialized(1);
+  AnswerGraphBuilder builder(q);
+  for (uint32_t i = 0; i < fan; ++i) builder.Set(0).Add(i, 1000000);
+  for (uint32_t i = 0; i < fan; ++i) {
+    builder.Set(1).Add(1000000, 2000000 + i);
+  }
+  builder.MarkMaterialized(0);
+  builder.MarkMaterialized(1);
+  const AnswerGraph ag = std::move(builder).Freeze();
   EmbeddingPlan plan;
   plan.join_order = {0, 1};
   Defactorizer defac(q, ag);

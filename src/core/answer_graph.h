@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "planner/embedding_planner.h"
@@ -16,17 +17,17 @@ namespace wireframe {
 
 class ThreadPool;
 
-/// Thread-local builder for one morsel's share of a PairSet.
+/// Thread-local builder for one morsel's share of a PairSetBuilder.
 ///
 /// During parallel answer-graph generation each worker appends the pairs
 /// its morsel produced into a private shard — plain vector pushes, no
 /// synchronization, no hashing. At the level barrier the shards are
-/// merged into the shared PairSet in shard-index order; because morsel
-/// boundaries depend only on the frontier size and the morsel size, the
-/// merged insertion sequence is deterministic and identical for every
-/// thread count. The split keeps the PairSet itself single-writer: it is
-/// only ever mutated by the merging thread, which is what makes the rest
-/// of the read-mostly AnswerGraph safe to share across workers.
+/// merged into the shared PairSetBuilder in shard-index order; because
+/// morsel boundaries depend only on the frontier size and the morsel
+/// size, the merged insertion sequence is deterministic and identical for
+/// every thread count. The split keeps the builder itself single-writer:
+/// it is only ever mutated by the merging thread, which is what makes the
+/// rest of the AnswerGraphBuilder safe to read across workers.
 class PairSetShard {
  public:
   void Add(NodeId u, NodeId v) { pairs_.emplace_back(u, v); }
@@ -45,36 +46,86 @@ class PairSetShard {
   std::vector<std::pair<NodeId, NodeId>> pairs_;
 };
 
-/// The materialization of one query edge (or chord): a dynamic set of data
-/// node pairs with per-endpoint live counters and adjacency.
-///
-/// The set has two lifecycle forms:
-///
-///   1. **Build form** (mutable, hash-indexed). Pairs can be deleted
-///      individually (edge burnback) or wholesale per endpoint node (node
-///      burnback); adjacency lists are append-only and filtered against
-///      the live-pair set on iteration, which keeps deletion O(1) per
-///      pair at the cost of a membership probe during scans — the classic
-///      tombstone trade-off, chosen because burnback deletes in bulk and
-///      never re-inserts. Compact() drops the tombstones once generation
-///      finishes.
-///   2. **Frozen form** (immutable, CSR-indexed). Freeze() converts the
-///      live pairs into forward/backward Csr arrays (util/csr.h: sorted
-///      neighbor spans, prefix-offset indexed, same shape as
-///      TripleStore::PredIndex) and releases the hash tables. Every read
-///      then scans cache-linear spans instead of probing hash tables;
-///      mutation is no longer allowed. Phase 2 — defactorization, the
-///      bushy executor's leaf scans and chord filters — reads the same
-///      pair sets millions of times after phase 1 stops mutating them,
-///      which is exactly the access pattern CSR wins on.
-///
-/// All build-form indexes are flat open-addressing tables
-/// (util/flat_hash.h); the node-pair insert path is the inner loop of
-/// answer-graph generation.
+/// The phase-2 materialization of one query edge (or chord): an immutable
+/// set of data node pairs held as forward and backward Csr arrays
+/// (util/csr.h: sorted neighbor spans, prefix-offset indexed, same shape
+/// as TripleStore::PredIndex). Phase 2 — defactorization, the bushy
+/// executor's leaf scans and chord filters, the counting DP — reads the
+/// same pair sets millions of times, so every read is a cache-linear span
+/// scan. Only PairSetBuilder::Freeze makes a non-empty one, and nothing
+/// mutates it afterwards, so any number of runs may share it (the
+/// runtime's AG cache does).
 class PairSet {
  public:
+  /// The empty set.
   PairSet() = default;
 
+  /// True iff (u, v) is in the set.
+  bool Contains(NodeId u, NodeId v) const { return fwd_.Contains(u, v); }
+
+  /// Number of pairs.
+  uint64_t Size() const { return fwd_.NumEntries(); }
+
+  /// Pairs with source u / target v.
+  uint32_t SrcCount(NodeId u) const {
+    return static_cast<uint32_t>(fwd_.Neighbors(u).size());
+  }
+  uint32_t DstCount(NodeId v) const {
+    return static_cast<uint32_t>(bwd_.Neighbors(v).size());
+  }
+
+  /// Distinct sources / targets.
+  uint64_t DistinctSrcCount() const { return fwd_.Nodes().size(); }
+  uint64_t DistinctDstCount() const { return bwd_.Nodes().size(); }
+
+  /// Sorted duplicate-free neighbor spans, the inputs the span kernels
+  /// (util/span_kernels.h) operate on: FwdNeighbors(u) = all v with
+  /// (u, v) in the set; BwdNeighbors(v) = all u. Valid as long as the set.
+  std::span<const NodeId> FwdNeighbors(NodeId u) const {
+    return fwd_.Neighbors(u);
+  }
+  std::span<const NodeId> BwdNeighbors(NodeId v) const {
+    return bwd_.Neighbors(v);
+  }
+
+  /// The CSR forms themselves, for batch entry points (Csr::ContainsMany,
+  /// positional scans over Nodes()).
+  const Csr& FwdCsr() const { return fwd_; }
+  const Csr& BwdCsr() const { return bwd_; }
+
+  /// Invokes fn(u, v) for every pair, source-major ascending.
+  template <typename Fn>
+  void ForEachPair(Fn&& fn) const {
+    fwd_.ForEach(fn);
+  }
+
+  /// Heap bytes of both CSR arrays (the AG cache's quota unit).
+  uint64_t ByteSize() const { return fwd_.ByteSize() + bwd_.ByteSize(); }
+
+ private:
+  friend class PairSetBuilder;
+  PairSet(Csr fwd, Csr bwd) : fwd_(std::move(fwd)), bwd_(std::move(bwd)) {}
+
+  Csr fwd_;
+  Csr bwd_;
+};
+
+/// The phase-1 materialization of one query edge (or chord): a dynamic,
+/// hash-indexed pair set with per-endpoint live counters and adjacency.
+///
+/// Pairs can be deleted individually (edge burnback) or wholesale per
+/// endpoint node (node burnback); adjacency lists are append-only and
+/// filtered against the live-pair set on iteration, which keeps deletion
+/// O(1) per pair at the cost of a membership probe during scans — the
+/// classic tombstone trade-off, chosen because burnback deletes in bulk
+/// and never re-inserts. Until the first erase there are no tombstones
+/// and scans skip the probe. Freeze consumes the builder into its
+/// immutable PairSet once phase 1 is over.
+///
+/// All indexes are flat open-addressing tables (util/flat_hash.h); the
+/// node-pair insert path is the inner loop of answer-graph generation.
+class PairSetBuilder {
+ public:
   /// Inserts (u, v); returns false if already present. Must not be called
   /// for a pair that was previously erased (adjacency lists would then
   /// hold duplicates); generation never does.
@@ -82,7 +133,6 @@ class PairSet {
 
   /// True iff (u, v) is live.
   bool Contains(NodeId u, NodeId v) const {
-    if (frozen_) return fwd_csr_.Contains(u, v);
     return live_.Contains(PackPair(u, v));
   }
 
@@ -106,158 +156,43 @@ class PairSet {
   /// dead in this set and generation never re-adds erased pairs.
   template <typename Fn>
   uint32_t EraseSrc(NodeId u, Fn&& fn) {
-    WF_CHECK(!frozen_) << "EraseSrc on a frozen PairSet";
-    std::vector<NodeId>* targets = fwd_.Find(u);
-    if (targets == nullptr) return 0;
-    const uint32_t live_before = SrcCount(u);
-    uint32_t erased = 0;
-    for (size_t i = targets->size(); i-- > 0;) {
-      const NodeId v = (*targets)[i];
-      if (Erase(u, v)) {
-        ++erased;
-        fn(v);
-      }
-    }
-    WF_DCHECK(erased == live_before) << "EraseSrc accounting drifted";
-    targets->clear();
-    return erased;
+    return EraseAll(fwd_.Find(u), SrcCount(u),
+                    [&](NodeId v) { return Erase(u, v); }, fn);
   }
 
   /// Mirror of EraseSrc for pairs (*, v); invokes fn(u) per erased pair.
   template <typename Fn>
   uint32_t EraseDst(NodeId v, Fn&& fn) {
-    WF_CHECK(!frozen_) << "EraseDst on a frozen PairSet";
-    std::vector<NodeId>* sources = bwd_.Find(v);
-    if (sources == nullptr) return 0;
-    const uint32_t live_before = DstCount(v);
-    uint32_t erased = 0;
-    for (size_t i = sources->size(); i-- > 0;) {
-      const NodeId u = (*sources)[i];
-      if (Erase(u, v)) {
-        ++erased;
-        fn(u);
-      }
-    }
-    WF_DCHECK(erased == live_before) << "EraseDst accounting drifted";
-    sources->clear();
-    return erased;
-  }
-
-  /// Rebuilds the adjacency lists without tombstones. After compaction —
-  /// and until the next Erase — iteration skips the per-pair liveness
-  /// probe, which makes defactorization a pure array scan. Called on
-  /// every edge set when answer-graph generation finishes. No-op on a
-  /// frozen set (freezing implies compactness).
-  void Compact();
-
-  /// True iff iteration currently needs no liveness filtering.
-  bool IsCompact() const { return frozen_ || compact_; }
-
-  /// Converts the set into its immutable frozen form: forward/backward
-  /// CSR arrays over the live pairs, hash tables released. Idempotent.
-  /// After this, Add/Erase/MergeShard are program errors; every reader
-  /// scans sorted spans. Iteration order changes from insertion order to
-  /// ascending — callers that freeze have left phase 1, where order was
-  /// load-bearing for determinism.
-  void Freeze();
-
-  /// True iff the set is in its frozen (CSR) form.
-  bool IsFrozen() const { return frozen_; }
-
-  /// Heap bytes of the frozen CSR arrays (0 in build form — only frozen
-  /// sets are byte-accounted, for the runtime's AG cache quotas).
-  uint64_t FrozenByteSize() const {
-    return frozen_ ? fwd_csr_.ByteSize() + bwd_csr_.ByteSize() : 0;
+    return EraseAll(bwd_.Find(v), DstCount(v),
+                    [&](NodeId u) { return Erase(u, v); }, fn);
   }
 
   /// Number of live pairs.
-  uint64_t Size() const {
-    return frozen_ ? fwd_csr_.NumEntries() : live_.Size();
-  }
+  uint64_t Size() const { return live_.Size(); }
 
   /// Live pairs with source u / target v.
   uint32_t SrcCount(NodeId u) const;
   uint32_t DstCount(NodeId v) const;
 
   /// Distinct live sources / targets.
-  uint64_t DistinctSrcCount() const {
-    return frozen_ ? fwd_csr_.Nodes().size() : distinct_src_;
-  }
-  uint64_t DistinctDstCount() const {
-    return frozen_ ? bwd_csr_.Nodes().size() : distinct_dst_;
-  }
+  uint64_t DistinctSrcCount() const { return distinct_src_; }
+  uint64_t DistinctDstCount() const { return distinct_dst_; }
 
-  /// Raw frozen spans (program error before Freeze): the sorted
-  /// duplicate-free inputs the span kernels (util/span_kernels.h)
-  /// operate on. FwdNeighbors(u) = all v with (u, v) live;
-  /// BwdNeighbors(v) = all u. Spans stay valid as long as the set —
-  /// frozen sets are immutable.
-  std::span<const NodeId> FwdNeighbors(NodeId u) const {
-    WF_DCHECK(frozen_) << "FwdNeighbors on an unfrozen PairSet";
-    return fwd_csr_.Neighbors(u);
-  }
-  std::span<const NodeId> BwdNeighbors(NodeId v) const {
-    WF_DCHECK(frozen_) << "BwdNeighbors on an unfrozen PairSet";
-    return bwd_csr_.Neighbors(v);
-  }
-
-  /// The frozen CSR forms themselves, for batch entry points
-  /// (Csr::ContainsMany, positional scans). Program error before Freeze.
-  const Csr& FwdCsr() const {
-    WF_DCHECK(frozen_) << "FwdCsr on an unfrozen PairSet";
-    return fwd_csr_;
-  }
-  const Csr& BwdCsr() const {
-    WF_DCHECK(frozen_) << "BwdCsr on an unfrozen PairSet";
-    return bwd_csr_;
-  }
-
-  /// Invokes fn(v) for every live pair (u, v). Frozen: one sorted span
-  /// scan. Build form: the underlying list may contain tombstones; fn is
-  /// only called for live pairs.
+  /// Invokes fn(v) for every live pair (u, v), in insertion order.
   template <typename Fn>
   void ForEachFwd(NodeId u, Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId v : fwd_csr_.Neighbors(u)) fn(v);
-      return;
-    }
-    const std::vector<NodeId>* targets = fwd_.Find(u);
-    if (targets == nullptr) return;
-    if (compact_) {
-      for (NodeId v : *targets) fn(v);
-      return;
-    }
-    for (NodeId v : *targets) {
-      if (Contains(u, v)) fn(v);
-    }
+    ForEachLive(fwd_.Find(u), [&](NodeId v) { return Contains(u, v); }, fn);
   }
 
-  /// Invokes fn(u) for every live pair (u, v).
+  /// Invokes fn(u) for every live pair (u, v), in insertion order.
   template <typename Fn>
   void ForEachBwd(NodeId v, Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId u : bwd_csr_.Neighbors(v)) fn(u);
-      return;
-    }
-    const std::vector<NodeId>* sources = bwd_.Find(v);
-    if (sources == nullptr) return;
-    if (compact_) {
-      for (NodeId u : *sources) fn(u);
-      return;
-    }
-    for (NodeId u : *sources) {
-      if (Contains(u, v)) fn(u);
-    }
+    ForEachLive(bwd_.Find(v), [&](NodeId u) { return Contains(u, v); }, fn);
   }
 
-  /// Invokes fn(u, v) for every live pair (source-major ascending when
-  /// frozen; hash-slot order in build form).
+  /// Invokes fn(u, v) for every live pair, in hash-slot order.
   template <typename Fn>
   void ForEachPair(Fn&& fn) const {
-    if (frozen_) {
-      fwd_csr_.ForEach(fn);
-      return;
-    }
     live_.ForEach([&](uint64_t key) {
       auto [u, v] = UnpackPair(key);
       fn(u, v);
@@ -267,10 +202,6 @@ class PairSet {
   /// Invokes fn(u) for every distinct live source.
   template <typename Fn>
   void ForEachSrc(Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId u : fwd_csr_.Nodes()) fn(u);
-      return;
-    }
     src_count_.ForEach([&](NodeId u, const uint32_t& count) {
       if (count > 0) fn(u);
     });
@@ -278,16 +209,46 @@ class PairSet {
   /// Invokes fn(v) for every distinct live target.
   template <typename Fn>
   void ForEachDst(Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId v : bwd_csr_.Nodes()) fn(v);
-      return;
-    }
     dst_count_.ForEach([&](NodeId v, const uint32_t& count) {
       if (count > 0) fn(v);
     });
   }
 
+  /// Consumes the builder into the immutable CSR form over its live
+  /// pairs. Iteration order changes from insertion order to ascending:
+  /// phase 1, where order was load-bearing for determinism, is over.
+  PairSet Freeze() &&;
+
  private:
+  /// Scan body of ForEachFwd/ForEachBwd: visits `list` (may be null),
+  /// filtering through `live` only once an erase left tombstones.
+  template <typename LiveFn, typename Fn>
+  void ForEachLive(const std::vector<NodeId>* list, LiveFn&& live,
+                   Fn&& fn) const {
+    if (list == nullptr) return;
+    for (NodeId w : *list) {
+      if (!tombstoned_ || live(w)) fn(w);
+    }
+  }
+
+  /// Sweep body of EraseSrc/EraseDst over one endpoint's adjacency list.
+  template <typename EraseFn, typename Fn>
+  static uint32_t EraseAll(std::vector<NodeId>* list, uint32_t live_before,
+                           EraseFn&& erase, Fn&& fn) {
+    if (list == nullptr) return 0;
+    uint32_t erased = 0;
+    for (size_t i = list->size(); i-- > 0;) {
+      const NodeId w = (*list)[i];
+      if (erase(w)) {
+        ++erased;
+        fn(w);
+      }
+    }
+    WF_DCHECK(erased == live_before) << "endpoint sweep accounting drifted";
+    list->clear();
+    return erased;
+  }
+
   PairKeySet live_;
   NodeMap<std::vector<NodeId>> fwd_;
   NodeMap<std::vector<NodeId>> bwd_;
@@ -295,68 +256,32 @@ class PairSet {
   NodeMap<uint32_t> dst_count_;
   uint64_t distinct_src_ = 0;
   uint64_t distinct_dst_ = 0;
-  /// True while the adjacency lists are tombstone-free (empty set, or
-  /// freshly compacted with no erase since).
-  bool compact_ = true;
-  /// Frozen form (populated by Freeze; empty before).
-  Csr fwd_csr_;
-  Csr bwd_csr_;
-  bool frozen_ = false;
+  /// True once any erase has run: adjacency lists may then hold erased
+  /// pairs and scans must probe `live_`.
+  bool tombstoned_ = false;
 };
 
-/// The factorized answer set (paper §2): for every query edge — and every
-/// chord, for cyclic queries — the set of data-graph node pairs that can
-/// still participate in an embedding.
-///
-/// Edge sets are indexed 0..NumEdges-1 for query edges and NumEdges.. for
-/// chords. A variable is "touched" once at least one incident edge set has
-/// been materialized; its candidate set is then the set of nodes alive at
-/// that variable. Aliveness is derived, not stored: node c is alive at var
-/// v iff every *materialized* edge set incident to v contains a live pair
-/// with c on v's side. Burnback (core/burnback.h) maintains this
-/// invariant by cascading deletions.
-class AnswerGraph {
+/// The query-shaped frame both answer-graph forms share: one edge set per
+/// query edge (indexed 0..NumQueryEdges-1) plus one per chord (indexed
+/// after them), each with its endpoint variables, the per-variable
+/// incidence lists, and which sets are materialized. A materialized set
+/// constrains its endpoints; a variable is "touched" once at least one
+/// incident set is materialized.
+class AgTopology {
  public:
-  /// Creates empty edge sets for the query's edges; chords are registered
-  /// afterwards via AddChordSlot (they behave like unlabeled query edges).
-  explicit AnswerGraph(const QueryGraph& query);
-
-  /// Registers a chord between u and v; returns its edge-set index.
-  uint32_t AddChordSlot(VarId u, VarId v);
-
   uint32_t NumEdgeSets() const {
-    return static_cast<uint32_t>(sets_.size());
+    return static_cast<uint32_t>(src_var_.size());
   }
   uint32_t NumQueryEdges() const { return num_query_edges_; }
   uint32_t NumVars() const {
     return static_cast<uint32_t>(incident_.size());
   }
 
-  PairSet& Set(uint32_t index) { return sets_[index]; }
-  const PairSet& Set(uint32_t index) const { return sets_[index]; }
-
   /// Endpoints of edge-set `index` (query edge direction, or chord (u,v)).
   VarId SrcVar(uint32_t index) const { return src_var_[index]; }
   VarId DstVar(uint32_t index) const { return dst_var_[index]; }
 
-  /// Marks an edge set materialized (it now constrains its endpoints).
-  void MarkMaterialized(uint32_t index);
   bool IsMaterialized(uint32_t index) const { return materialized_[index]; }
-
-  /// Freezes every edge set into its immutable CSR form (see
-  /// PairSet::Freeze). Call once phase 1 — including the final burnback —
-  /// is over; phase 2 then reads sorted spans instead of hash tables.
-  /// Sets freeze independently, so a pool (borrowed, may be null)
-  /// parallelizes the conversion one set per morsel; `weight` is the
-  /// task-group scheduler share on a shared pool. Idempotent.
-  void Freeze(ThreadPool* pool = nullptr, uint32_t weight = 1);
-
-  /// True iff Freeze has run.
-  bool IsFrozen() const { return frozen_; }
-
-  /// Total heap bytes of the frozen edge sets plus the topology vectors —
-  /// what one cached AG costs to keep resident. Meaningful once frozen.
-  uint64_t FrozenByteSize() const;
 
   /// Edge sets incident to variable v (both query edges and chords).
   const std::vector<uint32_t>& IncidentSets(VarId v) const {
@@ -365,6 +290,74 @@ class AnswerGraph {
 
   /// True iff any incident edge set of v is materialized.
   bool IsTouched(VarId v) const;
+
+ protected:
+  /// One unmaterialized slot per query edge.
+  explicit AgTopology(const QueryGraph& query);
+
+  /// Appends a slot between u and v; returns its index.
+  uint32_t AddSlot(VarId u, VarId v);
+  void SetMaterialized(uint32_t index);
+
+  /// Heap bytes of the topology vectors.
+  uint64_t ByteSize() const;
+
+ private:
+  uint32_t num_query_edges_ = 0;
+  std::vector<VarId> src_var_;
+  std::vector<VarId> dst_var_;
+  std::vector<bool> materialized_;
+  std::vector<std::vector<uint32_t>> incident_;
+};
+
+/// The factorized answer set (paper §2) as phase 2 reads it: for every
+/// query edge — and every chord, for cyclic queries — the immutable set
+/// of data-graph node pairs that can still participate in an embedding.
+/// Made only by AnswerGraphBuilder::Freeze, the last step of phase 1.
+class AnswerGraph : public AgTopology {
+ public:
+  const PairSet& Set(uint32_t index) const { return sets_[index]; }
+
+  /// Total heap bytes of the edge sets plus the topology — what one
+  /// cached AG costs to keep resident.
+  uint64_t FrozenByteSize() const;
+
+  /// Total pairs across the query edges (|AG| as the paper reports it;
+  /// chords are bookkeeping, not part of the answer graph proper).
+  uint64_t TotalQueryEdgePairs() const;
+
+  /// Exact per-edge statistics for the embedding planner.
+  std::vector<AgEdgeStats> Stats() const;
+
+ private:
+  friend class AnswerGraphBuilder;
+  AnswerGraph(AgTopology topology, std::vector<PairSet> sets)
+      : AgTopology(std::move(topology)), sets_(std::move(sets)) {}
+
+  std::vector<PairSet> sets_;
+};
+
+/// The answer graph while phase 1 builds it: mutable PairSetBuilders plus
+/// the liveness view generation and burnback steer by.
+///
+/// Aliveness is derived, not stored: node c is alive at var v iff every
+/// *materialized* edge set incident to v contains a live pair with c on
+/// v's side. Burnback (core/burnback.h) maintains this invariant by
+/// cascading deletions.
+class AnswerGraphBuilder : public AgTopology {
+ public:
+  /// Creates empty edge sets for the query's edges; chords are registered
+  /// afterwards via AddChordSlot (they behave like unlabeled query edges).
+  explicit AnswerGraphBuilder(const QueryGraph& query);
+
+  /// Registers a chord between u and v; returns its edge-set index.
+  uint32_t AddChordSlot(VarId u, VarId v);
+
+  /// Marks an edge set materialized (it now constrains its endpoints).
+  void MarkMaterialized(uint32_t index) { SetMaterialized(index); }
+
+  PairSetBuilder& Set(uint32_t index) { return sets_[index]; }
+  const PairSetBuilder& Set(uint32_t index) const { return sets_[index]; }
 
   /// True iff node c is alive at variable v (see class comment). Only
   /// meaningful for touched variables.
@@ -379,11 +372,11 @@ class AnswerGraph {
   template <typename Fn>
   void ForEachCandidate(VarId v, Fn&& fn) const {
     const uint32_t pilot = PilotSet(v);
-    const PairSet& set = sets_[pilot];
+    const PairSetBuilder& set = sets_[pilot];
     auto visit = [&](NodeId c) {
       if (IsAlive(v, c)) fn(c);
     };
-    if (src_var_[pilot] == v) {
+    if (SrcVar(pilot) == v) {
       set.ForEachSrc(visit);
     } else {
       set.ForEachDst(visit);
@@ -393,24 +386,20 @@ class AnswerGraph {
   /// Number of nodes alive at v (linear scan; diagnostics and tests).
   uint64_t CandidateCount(VarId v) const;
 
-  /// Total live pairs across the query edges (|AG| as the paper reports
-  /// it; chords are bookkeeping, not part of the answer graph proper).
+  /// Live pairs across the query edges (see AnswerGraph).
   uint64_t TotalQueryEdgePairs() const;
 
-  /// Exact per-edge statistics for the embedding planner.
-  std::vector<AgEdgeStats> Stats() const;
+  /// Ends phase 1: freezes every edge set into its CSR form. Sets freeze
+  /// independently, so a pool (borrowed, may be null) converts one set
+  /// per morsel; `weight` is the task-group scheduler share on a shared
+  /// pool.
+  AnswerGraph Freeze(ThreadPool* pool = nullptr, uint32_t weight = 1) &&;
 
  private:
   /// The materialized incident set of v with fewest distinct nodes at v.
   uint32_t PilotSet(VarId v) const;
 
-  uint32_t num_query_edges_ = 0;
-  std::vector<PairSet> sets_;
-  std::vector<VarId> src_var_;
-  std::vector<VarId> dst_var_;
-  std::vector<bool> materialized_;
-  std::vector<std::vector<uint32_t>> incident_;
-  bool frozen_ = false;
+  std::vector<PairSetBuilder> sets_;
 };
 
 }  // namespace wireframe

@@ -22,7 +22,7 @@ bool Burnback::AliveExcept(VarId v, NodeId c, uint32_t except) const {
 void Burnback::KillOne(const Death& d) {
   for (uint32_t f : ag_->IncidentSets(d.var)) {
     if (!ag_->IsMaterialized(f)) continue;
-    PairSet& set = ag_->Set(f);
+    PairSetBuilder& set = ag_->Set(f);
     const bool at_src = ag_->SrcVar(f) == d.var;
     const VarId other = at_src ? ag_->DstVar(f) : ag_->SrcVar(f);
 
@@ -57,7 +57,7 @@ void Burnback::DrainParallel() {
   const uint32_t num_shards = pool->num_threads();
 
   // One short mutex per edge set: a death at each endpoint of the same
-  // set may be processed by different shards, and every PairSet mutation
+  // set may be processed by different shards, and every set mutation
   // (and count read feeding death detection) happens under the set's
   // lock, so the 1→0 count transition is observed exactly once.
   std::vector<std::mutex> set_mu(ag_->NumEdgeSets());
@@ -101,7 +101,7 @@ void Burnback::DrainParallel() {
       const bool at_src = ag_->SrcVar(f) == d.var;
       const VarId other = at_src ? ag_->DstVar(f) : ag_->SrcVar(f);
       std::lock_guard<std::mutex> lock(set_mu[f]);
-      PairSet& set = ag_->Set(f);
+      PairSetBuilder& set = ag_->Set(f);
       auto on_erased = [&](NodeId w) {
         ++me.erased;
         if (ag_->CountAt(f, other, w) == 0) {
@@ -193,7 +193,7 @@ uint64_t Burnback::KillNode(VarId v, NodeId c) {
 uint64_t Burnback::ErasePair(uint32_t index, NodeId u, NodeId v) {
   const Stopwatch watch;
   const uint64_t before = pairs_erased_;
-  PairSet& set = ag_->Set(index);
+  PairSetBuilder& set = ag_->Set(index);
   if (!set.Erase(u, v)) {
     seconds_ += watch.ElapsedSeconds();
     return 0;
@@ -226,7 +226,7 @@ uint64_t Burnback::PruneAfterExtension(uint32_t index, bool src_was_touched,
     uint64_t pilot_size = UINT64_MAX;
     for (uint32_t f : ag_->IncidentSets(v)) {
       if (f == index || !ag_->IsMaterialized(f)) continue;
-      const PairSet& set = ag_->Set(f);
+      const PairSetBuilder& set = ag_->Set(f);
       const uint64_t size = ag_->SrcVar(f) == v ? set.DistinctSrcCount()
                                                 : set.DistinctDstCount();
       if (size < pilot_size) {
@@ -238,7 +238,7 @@ uint64_t Burnback::PruneAfterExtension(uint32_t index, bool src_was_touched,
 
     // Seed the worklist first: KillOne mutates the sets being scanned,
     // and a bulk seed list is what the parallel drain partitions.
-    const PairSet& pilot_set = ag_->Set(pilot);
+    const PairSetBuilder& pilot_set = ag_->Set(pilot);
     auto consider = [&](NodeId c) {
       if (ag_->CountAt(index, v, c) == 0 && AliveExcept(v, c, index)) {
         worklist_.push_back({v, c, 1});

@@ -47,9 +47,9 @@ struct BurnbackOptions {
 /// at each endpoint of the same set may land in different shards), and
 /// shards drain in rounds on the shared ThreadPool until a global
 /// in-flight counter hits zero, the task-group weight riding in. Because
-/// the fixpoint is confluent and PairSet erasure is order-oblivious
+/// the fixpoint is confluent and PairSetBuilder erasure is order-oblivious
 /// (tombstones land wherever the erased keys hash, adjacency lists are
-/// untouched), the surviving AnswerGraph — and pairs_erased() — are
+/// untouched), the surviving pair sets — and pairs_erased() — are
 /// identical for every thread count; only the diagnostic depth/handoff
 /// counters are schedule-dependent.
 ///
@@ -58,7 +58,7 @@ struct BurnbackOptions {
 /// still counts erased pairs for diagnostics.
 class Burnback {
  public:
-  explicit Burnback(AnswerGraph* ag, BurnbackOptions options = {})
+  explicit Burnback(AnswerGraphBuilder* ag, BurnbackOptions options = {})
       : ag_(ag), options_(options) {}
 
   /// Kills node c at variable v and drains the cascade. Returns the
@@ -114,7 +114,7 @@ class Burnback {
   /// except `except` (UINT32_MAX to consider all).
   bool AliveExcept(VarId v, NodeId c, uint32_t except) const;
 
-  AnswerGraph* ag_;
+  AnswerGraphBuilder* ag_;
   BurnbackOptions options_;
   std::vector<Death> worklist_;
   uint64_t pairs_erased_ = 0;

@@ -23,7 +23,7 @@ constexpr uint64_t kMergeMorsel = 128;
 
 /// A leaf⋈leaf join eligible for the sorted-merge fast path: both edges
 /// share exactly one variable and neither is a self loop. The shared
-/// variable keyed on each side's frozen CSR (forward if the edge leaves
+/// variable keyed on each side's CSR (forward if the edge leaves
 /// the shared var, backward otherwise) turns the join into one kernel
 /// intersection of the two sorted key arrays plus a span cross-product
 /// per common key — no hash table, no materialized leaf relations.
@@ -36,7 +36,7 @@ struct LeafMerge {
 bool PlanLeafMerge(const QueryGraph& query, const AnswerGraph& ag,
                    const BushyPlan::Node& lnode,
                    const BushyPlan::Node& rnode, LeafMerge* out) {
-  if (!ag.IsFrozen() || !lnode.IsLeaf() || !rnode.IsLeaf()) return false;
+  if (!lnode.IsLeaf() || !rnode.IsLeaf()) return false;
   const QueryEdge& lq = query.Edge(lnode.edge);
   const QueryEdge& rq = query.Edge(rnode.edge);
   if (lq.src == lq.dst || rq.src == rq.dst) return false;

@@ -29,9 +29,9 @@ void SortUnique(std::vector<uint64_t>& keys) {
 /// Iterates partners of `node` (sitting at var `from`) across slot `slot`
 /// of `ag`, i.e. all y with an oriented live pair (node@from, y@other).
 template <typename Fn>
-void ForEachPartner(const AnswerGraph& ag, uint32_t slot, VarId from,
+void ForEachPartner(const AnswerGraphBuilder& ag, uint32_t slot, VarId from,
                     NodeId node, Fn&& fn) {
-  const PairSet& set = ag.Set(slot);
+  const PairSetBuilder& set = ag.Set(slot);
   if (ag.SrcVar(slot) == from) {
     set.ForEachFwd(node, fn);
   } else {
@@ -41,9 +41,9 @@ void ForEachPartner(const AnswerGraph& ag, uint32_t slot, VarId from,
 }
 
 /// True iff slot holds the oriented pair (x@from_var, y@other_var).
-bool ContainsOriented(const AnswerGraph& ag, uint32_t slot, VarId from_var,
-                      NodeId x, NodeId y) {
-  const PairSet& set = ag.Set(slot);
+bool ContainsOriented(const AnswerGraphBuilder& ag, uint32_t slot,
+                      VarId from_var, NodeId x, NodeId y) {
+  const PairSetBuilder& set = ag.Set(slot);
   return ag.SrcVar(slot) == from_var ? set.Contains(x, y)
                                      : set.Contains(y, x);
 }
@@ -51,7 +51,7 @@ bool ContainsOriented(const AnswerGraph& ag, uint32_t slot, VarId from_var,
 /// Invokes fn(a, b) for every live pair of `slot`, reoriented so `a` sits
 /// at var `u`.
 template <typename Fn>
-void ForEachOrientedPair(const AnswerGraph& ag, uint32_t slot, VarId u,
+void ForEachOrientedPair(const AnswerGraphBuilder& ag, uint32_t slot, VarId u,
                          Fn&& fn) {
   const bool straight = ag.SrcVar(slot) == u;
   ag.Set(slot).ForEachPair([&](NodeId x, NodeId y) {
@@ -66,7 +66,7 @@ void ForEachOrientedPair(const AnswerGraph& ag, uint32_t slot, VarId u,
 /// Snapshots slot's live pairs reoriented so .first sits at var `u` —
 /// the indexable frontier the parallel chord join shards over.
 std::vector<std::pair<NodeId, NodeId>> CollectOrientedPairs(
-    const AnswerGraph& ag, uint32_t slot, VarId u) {
+    const AnswerGraphBuilder& ag, uint32_t slot, VarId u) {
   std::vector<std::pair<NodeId, NodeId>> out;
   out.reserve(ag.Set(slot).Size());
   ForEachOrientedPair(ag, slot, u,
@@ -169,7 +169,7 @@ Status ChordEvaluator::MaterializeChords(
 
     // Working chord pairs, packed (chord.u endpoint, chord.v endpoint).
     // Kept sorted ascending after the first triangle: the canonical order
-    // makes the materialized PairSet — including adjacency order —
+    // makes the materialized PairSetBuilder — including adjacency order —
     // identical for every thread count.
     std::vector<uint64_t> pairs;
     bool first_triangle = true;
@@ -323,7 +323,7 @@ Status ChordEvaluator::MaterializeChords(
     WF_CHECK(!first_triangle)
         << "chord " << c << " had no materializable triangle";
 
-    PairSet& set = ag_->Set(slot);
+    PairSetBuilder& set = ag_->Set(slot);
     // The canonical list is exact (sorted, deduped), so pre-size the
     // live-pair index once instead of doubling through the bulk insert.
     set.Reserve(pairs.size());

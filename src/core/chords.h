@@ -43,7 +43,7 @@ struct ChordMaterializeOptions {
 /// it, so both modes are first-class here).
 class ChordEvaluator {
  public:
-  ChordEvaluator(const Chordification& chordification, AnswerGraph* ag,
+  ChordEvaluator(const Chordification& chordification, AnswerGraphBuilder* ag,
                  Burnback* burnback)
       : chordification_(&chordification), ag_(ag), burnback_(burnback) {}
 
@@ -90,7 +90,7 @@ class ChordEvaluator {
   std::vector<ResolvedTriangle> AllTriangles() const;
 
   const Chordification* chordification_;
-  AnswerGraph* ag_;
+  AnswerGraphBuilder* ag_;
   Burnback* burnback_;
   std::vector<uint32_t> chord_slots_;
 };

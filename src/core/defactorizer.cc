@@ -53,8 +53,7 @@ struct alignas(kCacheLineBytes) EmitContext {
   /// chord_checks[d]: chord slots whose endpoints are both bound once the
   /// edge at depth d has been joined.
   const std::vector<std::vector<uint32_t>>* chord_checks;
-  /// depth_chords[d]: the intersection form of chord_checks[d] (frozen
-  /// AGs only; empty vector when the AG is unfrozen or chords are off).
+  /// depth_chords[d]: the intersection form of chord_checks[d].
   const std::vector<DepthChords>* depth_chords;
   Sink* sink;
   InterruptProbe probe;
@@ -96,7 +95,7 @@ bool ChordsAccept(EmitContext& ctx, size_t depth) {
 
 void EmitStep(EmitContext& ctx, size_t depth);
 
-/// The frozen fast path for a depth whose chords all intersect: instead
+/// The fast path for a depth whose chords all intersect: instead
 /// of scanning `ext` and probing every chord per candidate, intersect
 /// the extension span with each chord span (both sorted CSR spans) and
 /// recurse only over the survivors. Accounting matches the scan+probe
@@ -156,34 +155,23 @@ void EmitStep(EmitContext& ctx, size_t depth) {
     }
     return;
   }
-  const bool isect_chords = !ctx.depth_chords->empty() &&
-                            (*ctx.depth_chords)[depth].all_isect;
-  if (src_bound) {
-    if (isect_chords) {
-      IntersectAndRecurse(ctx, depth, set.FwdNeighbors(src_slot), dst_slot);
+  if (src_bound || dst_bound) {
+    // Extend the free endpoint over the bound one's neighbor span.
+    const std::span<const NodeId> ext = src_bound
+                                            ? set.FwdNeighbors(src_slot)
+                                            : set.BwdNeighbors(dst_slot);
+    NodeId& free_slot = src_bound ? dst_slot : src_slot;
+    if ((*ctx.depth_chords)[depth].all_isect) {
+      IntersectAndRecurse(ctx, depth, ext, free_slot);
       return;
     }
-    set.ForEachFwd(src_slot, [&](NodeId v) {
-      if (ctx.stop) return;
+    for (const NodeId value : ext) {
+      if (ctx.stop) break;
       ++ctx.stats.extensions;
-      dst_slot = v;
+      free_slot = value;
       if (ChordsAccept(ctx, depth)) EmitStep(ctx, depth + 1);
-      dst_slot = kInvalidNode;
-    });
-    return;
-  }
-  if (dst_bound) {
-    if (isect_chords) {
-      IntersectAndRecurse(ctx, depth, set.BwdNeighbors(dst_slot), src_slot);
-      return;
     }
-    set.ForEachBwd(dst_slot, [&](NodeId u) {
-      if (ctx.stop) return;
-      ++ctx.stats.extensions;
-      src_slot = u;
-      if (ChordsAccept(ctx, depth)) EmitStep(ctx, depth + 1);
-      src_slot = kInvalidNode;
-    });
+    free_slot = kInvalidNode;
     return;
   }
   // Neither endpoint bound: only legal for the first edge of a connected
@@ -201,14 +189,11 @@ void EmitStep(EmitContext& ctx, size_t depth) {
 }
 
 /// Builds the per-depth intersection strategy from the static bound-set
-/// progression of the join order. Only meaningful on a frozen AG (the
-/// spans the kernels need are the CSR form); returns empty otherwise and
-/// every depth falls back to the probe path.
+/// progression of the join order.
 std::vector<DepthChords> PlanDepthChords(
     const QueryGraph& query, const AnswerGraph& ag,
     const std::vector<uint32_t>& order,
     const std::vector<std::vector<uint32_t>>& chord_checks) {
-  if (!ag.IsFrozen()) return {};
   std::vector<DepthChords> plan(order.size());
   std::vector<bool> bound(query.NumVars(), false);
   for (size_t d = 0; d < order.size(); ++d) {
@@ -299,8 +284,7 @@ Result<DefactorizerStats> Defactorizer::Emit(
     uint64_t prefilter_extensions = 0;
     uint64_t prefilter_rejections = 0;
     bool roots_prefiltered = false;
-    if (ag_->IsFrozen() && !chord_checks.empty() &&
-        !chord_checks[0].empty()) {
+    if (!chord_checks[0].empty()) {
       roots_prefiltered = true;
       std::vector<NodeId> keys(roots.size());
       std::vector<NodeId> vals(roots.size());

@@ -63,13 +63,10 @@ struct DefactorizerStats {
 /// branches die; the embedding planner's join order and the chord filters
 /// minimize that.
 ///
-/// Read path: every extension is a ForEachFwd/ForEachBwd scan and every
-/// chord filter a Contains probe on the AG's pair sets. The engine
-/// freezes the AG before phase 2 (WireframeOptions::freeze_ag), so these
-/// resolve against immutable CSR spans (util/csr.h) — direct-indexed
-/// offset lookup plus a cache-linear sorted span — instead of the
-/// build-form hash tables; an unfrozen AG (freeze_ag off, or a directly
-/// constructed one in tests) takes the hash path with identical results.
+/// Read path: the AG is the frozen one phase 1 ends with, so every
+/// extension scans an immutable sorted CSR span (util/csr.h: a
+/// direct-indexed offset lookup plus a cache-linear span), and every
+/// chord filter is a span intersection or a Contains probe on one.
 class Defactorizer {
  public:
   Defactorizer(const QueryGraph& query, const AnswerGraph& ag)

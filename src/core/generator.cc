@@ -26,7 +26,8 @@ constexpr uint64_t kFrontierMorsel = 256;
 /// Snapshots the candidate set of `v` (in ForEachCandidate order, which
 /// the parallel path must preserve to keep insertion order identical to
 /// the serial path).
-std::vector<NodeId> CollectCandidates(const AnswerGraph& ag, VarId v) {
+std::vector<NodeId> CollectCandidates(const AnswerGraphBuilder& ag,
+                                      VarId v) {
   std::vector<NodeId> out;
   ag.ForEachCandidate(v, [&](NodeId c) { out.push_back(c); });
   return out;
@@ -42,8 +43,7 @@ Result<GeneratorResult> AgGenerator::Generate(
   const TripleStore& store = db_->store();
 
   GeneratorResult result;
-  result.ag = std::make_unique<AnswerGraph>(query);
-  AnswerGraph& ag = *result.ag;
+  AnswerGraphBuilder ag(query);
 
   ThreadPool* pool = options.pool;
   const bool parallel = pool != nullptr && pool->num_threads() > 1;
@@ -57,7 +57,7 @@ Result<GeneratorResult> AgGenerator::Generate(
   Burnback burnback(&ag, burnback_options);
 
   // Chord slots are registered up front (unmaterialized slots are inert)
-  // so the chord evaluator and node burnback share one AnswerGraph.
+  // so the chord evaluator and node burnback share one builder.
   const bool use_chords =
       options.triangulate && !plan.chords.empty();
   Chordification chordification;
@@ -103,7 +103,8 @@ Result<GeneratorResult> AgGenerator::Generate(
   // AG sets of earlier levels); the merge at the barrier is the only
   // writer of `set`. Deadline expiry and cancellation surface as the
   // corresponding non-OK status, in which case nothing is merged.
-  auto sharded_extend = [&](uint64_t n, uint64_t morsel, PairSet& set,
+  auto sharded_extend = [&](uint64_t n, uint64_t morsel,
+                            PairSetBuilder& set,
                             auto&& body) -> Status {
     const uint64_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
     std::vector<PairSetShard> shards(num_morsels);
@@ -129,7 +130,7 @@ Result<GeneratorResult> AgGenerator::Generate(
   for (uint32_t e : plan.edge_order) {
     const QueryEdge& qe = query.Edge(e);
     const LabelId p = qe.label;
-    PairSet& set = ag.Set(e);
+    PairSetBuilder& set = ag.Set(e);
     const bool src_touched = ag.IsTouched(qe.src);
     const bool dst_touched = ag.IsTouched(qe.dst);
     Status level_status;  // non-OK on a parallel-path interrupt
@@ -326,32 +327,12 @@ Result<GeneratorResult> AgGenerator::Generate(
     }
   }
 
-  // Generation is over. Either freeze the AG into its read-optimized CSR
-  // form (which replaces the adjacency lists outright, so no compaction
-  // is needed first), or drop tombstones so phase 2 iterates clean
-  // arrays. Both work set-at-a-time; AnswerGraph::Freeze shards
-  // internally on the pool.
-  if (options.freeze) {
-    const Stopwatch freeze_watch;
-    ag.Freeze(parallel ? pool : nullptr, options.weight);
-    result.freeze_seconds = freeze_watch.ElapsedSeconds();
-  } else if (parallel && ag.NumEdgeSets() > 1) {
-    ParallelForOptions pf;
-    pf.morsel_size = 1;
-    pf.weight = options.weight;
-    Status st = pool->ParallelFor(
-        ag.NumEdgeSets(), pf,
-        [&](uint32_t, uint64_t begin, uint64_t end) {
-          for (uint64_t s = begin; s < end; ++s) {
-            ag.Set(static_cast<uint32_t>(s)).Compact();
-          }
-        });
-    WF_CHECK(st.ok()) << "compaction has no deadline";
-  } else {
-    for (uint32_t s = 0; s < ag.NumEdgeSets(); ++s) {
-      ag.Set(s).Compact();
-    }
-  }
+  // Generation is over: freeze the AG into its read-only CSR form,
+  // set-at-a-time on the pool.
+  const Stopwatch freeze_watch;
+  result.ag = std::make_unique<AnswerGraph>(
+      std::move(ag).Freeze(parallel ? pool : nullptr, options.weight));
+  result.freeze_seconds = freeze_watch.ElapsedSeconds();
   // Every erasure funnels through `burnback`, so its counter is the
   // authoritative total — including the cascades chord materialization
   // triggers internally, which the per-step trace values never see

@@ -53,9 +53,9 @@ struct GeneratorOptions {
   /// single-threaded runs the exact serial code path. Each extension
   /// level partitions its frontier into morsels whose workers fill
   /// thread-local PairSetShards; shards merge in morsel order at the
-  /// level barrier, so the resulting AnswerGraph — including adjacency
-  /// order — is identical for every thread count. Burnback and chord
-  /// materialization stay serial (they run at the barrier).
+  /// level barrier, so the answer graph — including adjacency order
+  /// while it is built — is identical for every thread count. Burnback
+  /// and chord materialization run at the barrier.
   ThreadPool* pool = nullptr;
   /// Optional cooperative cancellation (borrowed, may be null): polled on
   /// the same amortized cadence as the deadline; once set, generation
@@ -64,13 +64,6 @@ struct GeneratorOptions {
   /// Scheduler weight of every task-group this run submits to `pool`
   /// (service class of the owning query; see ParallelForOptions::weight).
   uint32_t weight = 1;
-  /// Freeze the answer graph into its immutable CSR form once generation
-  /// (including the final burnback and compaction) finishes, so phase 2
-  /// scans sorted spans instead of hash tables. Off by default here so
-  /// the raw generator hands back a mutable AG (paper-trace benches drive
-  /// burnback on it afterwards); WireframeOptions::freeze_ag enables it
-  /// for the engine.
-  bool freeze = false;
   /// Minimum seed-worklist size before node-burnback cascades drain in
   /// parallel on `pool` (BurnbackOptions::parallel_threshold). Tests pin
   /// this to 1 to force the partitioned drain on small fixtures.
@@ -79,9 +72,10 @@ struct GeneratorOptions {
   std::function<void(const GeneratorTraceStep&)> trace;
 };
 
-/// Phase-1 output: the answer graph plus cost accounting.
+/// Phase-1 output: the frozen answer graph plus cost accounting.
 struct GeneratorResult {
-  // Held by pointer: AnswerGraph is move-only and large.
+  /// Frozen: Freeze is the last step of Generate, so phase 2 only ever
+  /// reads CSR spans. Held by pointer so the engine can hand it on.
   std::unique_ptr<AnswerGraph> ag;
   uint64_t edge_walks = 0;
   uint64_t pairs_burned = 0;
@@ -96,7 +90,7 @@ struct GeneratorResult {
   /// Wall seconds inside node burnback (seed scans + cascade drains,
   /// chord-materialization pruning included).
   double burnback_seconds = 0.0;
-  /// Wall seconds spent freezing the AG (0 when options.freeze is off).
+  /// Wall seconds spent freezing the AG.
   double freeze_seconds = 0.0;
 };
 
@@ -105,7 +99,9 @@ struct GeneratorResult {
 /// from G constrained by the current AG node sets, then cascading node
 /// burnback removes nodes that failed to extend. For cyclic queries the
 /// plan's chords are then materialized; edge burnback optionally culls
-/// spurious edges down to the ideal AG.
+/// spurious edges down to the ideal AG. Phase 1 builds into an
+/// AnswerGraphBuilder and ends by freezing it into the AnswerGraph that
+/// phase 2 reads.
 class AgGenerator {
  public:
   AgGenerator(const Database& db, const Catalog& catalog)

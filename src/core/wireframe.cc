@@ -58,12 +58,8 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
   Stopwatch aggregate_watch;
   detail->has_aggregate = true;
   AggregatePlanner planner(query);
-  AggregatePlan plan =
+  const AggregatePlan plan =
       planner.Plan(spec, AggregateExecutor::MaterializedChords(ag));
-  if (plan.mode != AggregateMode::kEnumerate && !ag.IsFrozen()) {
-    plan.mode = AggregateMode::kEnumerate;
-    plan.reason = "answer graph not frozen (freeze_ag off)";
-  }
   if (plan.mode != AggregateMode::kEnumerate) {
     AggregateExecutor executor(query, ag);
     AggregateExecutorOptions exec_options;
@@ -131,7 +127,6 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   gen_options.pool = pool;
   gen_options.cancel = options.runtime.cancel;
   gen_options.weight = options.runtime.weight;
-  gen_options.freeze = options_.freeze_ag;
   AgGenerator generator(db, catalog);
   WF_ASSIGN_OR_RETURN(GeneratorResult gen,
                       generator.Generate(query, detail.ag_plan, gen_options));
@@ -166,7 +161,6 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
 Result<WireframeRunDetail> WireframeEngine::RunOverAg(
     const QueryGraph& query, const AnswerGraph& ag,
     const EngineOptions& options, Sink* sink) {
-  WF_CHECK(ag.IsFrozen()) << "RunOverAg requires a frozen AnswerGraph";
   WireframeRunDetail detail;
   Stopwatch total;
 

@@ -37,14 +37,6 @@ struct WireframeOptions {
   /// enumeration over the iAG is already output-optimal for acyclic CQs;
   /// bench_ablation_bushy measures where bushy pays.
   bool bushy_phase2 = false;
-  /// Freeze the answer graph into its immutable CSR form between the two
-  /// phases (AnswerGraph::Freeze), so defactorization / bushy execution
-  /// scan sorted spans instead of probing hash tables. Sound: the frozen
-  /// view holds exactly the live pairs, so embeddings and |AG| are
-  /// unchanged (the freeze-equivalence suite certifies it). On by
-  /// default; off reproduces the historical mutable read path (and hands
-  /// back a mutable AG in WireframeRunDetail).
-  bool freeze_ag = true;
 };
 
 /// Detailed result of one Wireframe run, superset of EngineStats: exposes
@@ -63,7 +55,7 @@ struct WireframeRunDetail {
   uint64_t pairs_burned = 0;
   uint64_t chord_pairs = 0;
   bool cyclic = false;
-  /// The answer graph (query-edge sets live; chords included when used).
+  /// The frozen answer graph (query edges, plus chords when used).
   std::unique_ptr<AnswerGraph> ag;
   AgPlan ag_plan;
   EmbeddingPlan embedding_plan;
@@ -103,8 +95,8 @@ class WireframeEngine : public Engine {
   /// AG cache hit path): plans embeddings from the AG's exact statistics
   /// and emits through the same defactorizer / bushy executor as
   /// RunDetailed, honoring the deadline/cancel/pool/weight in `options`.
-  /// `ag` is borrowed, must belong to `query`'s shape, and must be frozen
-  /// — it may be read concurrently by any number of other runs. The
+  /// `ag` is borrowed and must belong to `query`'s shape; it may be read
+  /// concurrently by any number of other runs. The
   /// returned detail has zero phase-1/burnback/freeze seconds and a null
   /// `ag` field (the caller already owns it).
   Result<WireframeRunDetail> RunOverAg(const QueryGraph& query,

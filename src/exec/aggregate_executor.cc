@@ -239,7 +239,7 @@ AggregateResult ExtractResult(std::span<const NodeId> keys,
   return result;
 }
 
-/// The frozen span of edge `e`'s candidates opposite `keyed_var` when it
+/// The CSR span of edge `e`'s candidates opposite `keyed_var` when it
 /// is bound to `node`.
 std::span<const NodeId> EdgeSpanFrom(const QueryGraph& query,
                                      const AnswerGraph& ag, uint32_t e,
@@ -477,7 +477,6 @@ Result<AggregateResult> AggregateExecutor::Run(
     const AggregateExecutorOptions& options) const {
   WF_CHECK(plan.mode != AggregateMode::kEnumerate)
       << "enumerate plans run through phase 2, not the DP";
-  WF_CHECK(ag_->IsFrozen()) << "the counting DP requires a frozen AG";
   {
     WF_ASSIGN_OR_RETURN(PassOutcome pass,
                         RunPass<U64Ops>(*query_, *ag_, plan, spec, options));

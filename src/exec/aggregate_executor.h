@@ -146,7 +146,7 @@ struct AggregateExecutorOptions {
 /// COUNT(DISTINCT ?v), ASK, and GROUP BY ?v COUNT(*) directly on the
 /// frozen CSR answer graph via the counting DP the AggregatePlanner
 /// chose — AG-size-bound instead of output-size-bound, no embedding is
-/// ever materialized. Requires a frozen AnswerGraph.
+/// ever materialized.
 class AggregateExecutor {
  public:
   AggregateExecutor(const QueryGraph& query, const AnswerGraph& ag)

@@ -5,11 +5,9 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "util/common.h"
-#include "util/hash.h"
 
 namespace wireframe {
 
@@ -109,33 +107,6 @@ class CollectingSink : public Sink {
 
  private:
   std::vector<std::vector<NodeId>> rows_;
-};
-
-/// Projects each binding onto `projection` and forwards only distinct
-/// projected tuples to the wrapped sink (SELECT DISTINCT ?a ?b semantics
-/// when the projection drops variables).
-class DistinctProjectingSink : public Sink {
- public:
-  DistinctProjectingSink(std::vector<VarId> projection, Sink* inner)
-      : projection_(std::move(projection)), inner_(inner) {}
-
-  bool Emit(const std::vector<NodeId>& binding) override {
-    projected_.clear();
-    uint64_t h = 1469598103934665603ull;  // FNV offset basis
-    for (VarId v : projection_) {
-      projected_.push_back(binding[v]);
-      h = Mix64(h ^ binding[v]);
-    }
-    if (!seen_.insert(h).second) return true;  // likely-duplicate: skip
-    return inner_->Emit(projected_);
-  }
-  uint64_t count() const override { return inner_->count(); }
-
- private:
-  std::vector<VarId> projection_;
-  Sink* inner_;
-  std::vector<NodeId> projected_;
-  std::unordered_set<uint64_t, Hash64> seen_;
 };
 
 /// Forwards each binding with its columns permuted: out[v] =

@@ -46,8 +46,7 @@ void AgCache::EndFill(size_t tenant, const std::string& key,
     Shard& shard = shards_[tenant];
     shard.filling.erase(key);
     if (value == nullptr) return;  // aborted fill
-    WF_CHECK(value->ag != nullptr && value->ag->IsFrozen())
-        << "only frozen AnswerGraphs are cacheable";
+    WF_CHECK(value->ag != nullptr) << "a filled entry holds an AG";
     const uint64_t bytes = value->ag->FrozenByteSize();
     if (bytes > shard.quota) return;  // larger than the whole partition
     while (shard.counters.bytes + bytes > shard.quota) {

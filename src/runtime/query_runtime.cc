@@ -613,7 +613,7 @@ Result<EngineStats> QueryRuntime::RunEngine(QuerySession& session,
       // phase 1 including burnback and freeze, not phase 2 (hits still
       // pay phase 2). A budget- or sink-stopped run still yields a
       // complete AG — phase 1 always runs to the end — so it fills too.
-      if (detail->ag != nullptr && detail->ag->IsFrozen()) {
+      if (detail->ag != nullptr) {
         auto value = std::make_shared<CachedAg>();
         value->ag = std::shared_ptr<const AnswerGraph>(std::move(detail->ag));
         value->query = req.query;

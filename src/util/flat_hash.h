@@ -123,8 +123,8 @@ class PairKeySet {
 };
 
 /// Open-addressing map from NodeId to V, same rationale as PairKeySet.
-/// No deletion (PairSet's adjacency/count maps only shrink via Compact,
-/// which rebuilds).
+/// No per-key deletion (PairSetBuilder's adjacency/count maps never
+/// shrink; EraseIf rebuilds the whole table).
 template <typename V>
 class NodeMap {
  public:
@@ -169,7 +169,7 @@ class NodeMap {
   }
 
   /// Removes every entry for which pred(key, value&) returns true.
-  /// Rebuilds the table (used only by Compact).
+  /// Rebuilds the table.
   template <typename Pred>
   void EraseIf(Pred&& pred) {
     std::vector<NodeId> keys = std::move(keys_);

@@ -24,8 +24,10 @@
 namespace wireframe {
 namespace {
 
-/// Snapshot of every edge set of an AG, for equality checks.
-std::vector<std::set<uint64_t>> AgPairs(const AnswerGraph& ag) {
+/// Snapshot of every edge set of an AG (either form), for equality
+/// checks.
+template <typename Graph>
+std::vector<std::set<uint64_t>> AgPairs(const Graph& ag) {
   std::vector<std::set<uint64_t>> out(ag.NumEdgeSets());
   for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) {
     ag.Set(e).ForEachPair(
@@ -122,7 +124,7 @@ TEST(BurnbackParallelTest, NoisyChainAgreesAcrossThreadCounts) {
 // Direct Burnback drive (no generator): identical KillNode cascades on
 // identically-built AGs, serial vs partitioned drain.
 TEST(BurnbackParallelTest, KillNodeMatchesSerialDrain) {
-  auto build = [](AnswerGraph* ag) {
+  auto build = [](AnswerGraphBuilder* ag) {
     // Three-layer chain with shared endpoints so cascades propagate.
     Rng rng(99);
     for (uint32_t e = 0; e < 3; ++e) {
@@ -146,14 +148,14 @@ TEST(BurnbackParallelTest, KillNodeMatchesSerialDrain) {
     return q;
   }();
 
-  AnswerGraph serial_ag(q);
+  AnswerGraphBuilder serial_ag(q);
   build(&serial_ag);
   Burnback serial_bb(&serial_ag);
   const uint64_t serial_erased = serial_bb.KillNode(1, 10);
   EXPECT_EQ(serial_bb.handoffs(), 0u);
 
   for (uint32_t threads : {2u, 4u}) {
-    AnswerGraph parallel_ag(q);
+    AnswerGraphBuilder parallel_ag(q);
     build(&parallel_ag);
     ThreadPool pool(threads);
     BurnbackOptions options;

@@ -13,7 +13,7 @@ namespace {
 
 // Naive arc-consistency oracle: repeatedly delete any pair with a dead
 // endpoint until quiescent. Returns the number of pairs deleted.
-uint64_t OracleFixpoint(AnswerGraph* ag) {
+uint64_t OracleFixpoint(AnswerGraphBuilder* ag) {
   uint64_t deleted = 0;
   bool changed = true;
   while (changed) {
@@ -59,7 +59,7 @@ QueryGraph RandomConnectedQuery(Rng& rng) {
 
 TEST(BurnbackTest, KillNodeErasesIncidentPairs) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
-  AnswerGraph ag(q);
+  AnswerGraphBuilder ag(q);
   ag.Set(0).Add(1, 10);
   ag.Set(0).Add(2, 10);
   ag.Set(0).Add(3, 11);
@@ -74,7 +74,7 @@ TEST(BurnbackTest, KillNodeErasesIncidentPairs) {
 TEST(BurnbackTest, CascadeAcrossChain) {
   // v0 -e0-> v1 -e1-> v2; kill the only v2 node; everything unravels.
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
-  AnswerGraph ag(q);
+  AnswerGraphBuilder ag(q);
   ag.Set(0).Add(1, 10);
   ag.Set(0).Add(2, 10);
   ag.MarkMaterialized(0);
@@ -89,7 +89,7 @@ TEST(BurnbackTest, CascadeAcrossChain) {
 
 TEST(BurnbackTest, CascadeStopsWhereSupported) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
-  AnswerGraph ag(q);
+  AnswerGraphBuilder ag(q);
   ag.Set(0).Add(1, 10);
   ag.MarkMaterialized(0);
   ag.Set(1).Add(10, 20);
@@ -105,7 +105,7 @@ TEST(BurnbackTest, CascadeStopsWhereSupported) {
 
 TEST(BurnbackTest, ErasePairCascades) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
-  AnswerGraph ag(q);
+  AnswerGraphBuilder ag(q);
   ag.Set(0).Add(1, 10);
   ag.MarkMaterialized(0);
   ag.Set(1).Add(10, 20);
@@ -118,7 +118,7 @@ TEST(BurnbackTest, ErasePairCascades) {
 
 TEST(BurnbackTest, EraseMissingPairIsNoop) {
   QueryGraph q = ChainTemplate(1).Instantiate({0});
-  AnswerGraph ag(q);
+  AnswerGraphBuilder ag(q);
   ag.Set(0).Add(1, 2);
   ag.MarkMaterialized(0);
   Burnback bb(&ag);
@@ -129,7 +129,7 @@ TEST(BurnbackTest, EraseMissingPairIsNoop) {
 TEST(BurnbackTest, PruneAfterExtensionRemovesFailedCandidates) {
   // Star: x -e0-> a, x -e1-> b. After e0, x has {1,2}; e1 extends only 1.
   QueryGraph q = StarTemplate(2).Instantiate({0, 1});
-  AnswerGraph ag(q);
+  AnswerGraphBuilder ag(q);
   VarId x = q.FindVar("x");
   ag.Set(0).Add(1, 10);
   ag.Set(0).Add(2, 11);
@@ -152,7 +152,7 @@ TEST(BurnbackTest, InterleavedPruningReachesArcConsistency) {
   Rng rng(2024);
   for (int trial = 0; trial < 60; ++trial) {
     QueryGraph q = RandomConnectedQuery(rng);
-    AnswerGraph ag(q);
+    AnswerGraphBuilder ag(q);
     Burnback bb(&ag);
     for (uint32_t e = 0; e < q.NumEdges(); ++e) {
       const VarId sv = q.Edge(e).src, dv = q.Edge(e).dst;
@@ -192,7 +192,7 @@ TEST(BurnbackTest, KillMatchesOracleDeletion) {
   Rng rng(7);
   for (int trial = 0; trial < 30; ++trial) {
     QueryGraph q = ChainTemplate(3).Instantiate({0, 1, 2});
-    AnswerGraph fast(q), slow(q);
+    AnswerGraphBuilder fast(q), slow(q);
     for (uint32_t e = 0; e < 3; ++e) {
       for (int k = 0; k < 8; ++k) {
         // Chain var domains overlap so cascades actually propagate.

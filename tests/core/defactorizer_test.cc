@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,15 +12,23 @@ namespace wireframe {
 namespace {
 
 // Builds the Fig. 1 ideal AG by hand: A: {1,2,3}->5, B: 5->9, C: 9->{12..15}.
+// `edit` may change the builder before it is frozen.
 struct ChainFixture {
   QueryGraph q = ChainTemplate(3).Instantiate({0, 1, 2});
-  AnswerGraph ag{q};
+  AnswerGraph ag;
 
-  ChainFixture() {
-    for (NodeId w : {1, 2, 3}) ag.Set(0).Add(w, 5);
-    ag.Set(1).Add(5, 9);
-    for (NodeId z : {12, 13, 14, 15}) ag.Set(2).Add(9, z);
-    for (uint32_t e = 0; e < 3; ++e) ag.MarkMaterialized(e);
+  explicit ChainFixture(void (*edit)(AnswerGraphBuilder&) = nullptr)
+      : ag(Build(q, edit)) {}
+
+  static AnswerGraph Build(const QueryGraph& q,
+                           void (*edit)(AnswerGraphBuilder&)) {
+    AnswerGraphBuilder b(q);
+    for (NodeId w : {1, 2, 3}) b.Set(0).Add(w, 5);
+    b.Set(1).Add(5, 9);
+    for (NodeId z : {12, 13, 14, 15}) b.Set(2).Add(9, z);
+    for (uint32_t e = 0; e < 3; ++e) b.MarkMaterialized(e);
+    if (edit != nullptr) edit(b);
+    return std::move(b).Freeze();
   }
 };
 
@@ -71,12 +80,13 @@ TEST(DefactorizerTest, BothEndpointsBoundFilters) {
   VarId x = q.AddVar("x"), y = q.AddVar("y");
   q.AddEdge(x, 0, y);
   q.AddEdge(x, 1, y);
-  AnswerGraph ag(q);
-  ag.Set(0).Add(1, 10);
-  ag.Set(0).Add(2, 20);
-  ag.Set(1).Add(1, 10);  // only (1,10) survives the second pattern
-  ag.MarkMaterialized(0);
-  ag.MarkMaterialized(1);
+  AnswerGraphBuilder b(q);
+  b.Set(0).Add(1, 10);
+  b.Set(0).Add(2, 20);
+  b.Set(1).Add(1, 10);  // only (1,10) survives the second pattern
+  b.MarkMaterialized(0);
+  b.MarkMaterialized(1);
+  const AnswerGraph ag = std::move(b).Freeze();
   Defactorizer defac(q, ag);
   CollectingSink sink;
   auto n = defac.Emit(PlanOrder({0, 1}), &sink, DefactorizerOptions{});
@@ -97,9 +107,10 @@ TEST(DefactorizerTest, BackwardExtension) {
 
 TEST(DefactorizerTest, EmptyAgYieldsNothing) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
-  AnswerGraph ag(q);
-  ag.MarkMaterialized(0);
-  ag.MarkMaterialized(1);
+  AnswerGraphBuilder b(q);
+  b.MarkMaterialized(0);
+  b.MarkMaterialized(1);
+  const AnswerGraph ag = std::move(b).Freeze();
   Defactorizer defac(q, ag);
   CountingSink sink;
   auto n = defac.Emit(PlanOrder({0, 1}), &sink, DefactorizerOptions{});
@@ -118,22 +129,22 @@ TEST(DefactorizerTest, SinkCanStopEarly) {
 }
 
 TEST(DefactorizerTest, ExpiredDeadlineTimesOut) {
-  ChainFixture f;
+  // The deadline is checked on a stride; tiny outputs may finish first,
+  // so force many tuples through a bigger AG.
+  ChainFixture f([](AnswerGraphBuilder& b) {
+    for (NodeId w = 100; w < 3000; ++w) b.Set(0).Add(w, 5);
+  });
   Defactorizer defac(f.q, f.ag);
   CountingSink sink;
   DefactorizerOptions options;
   options.deadline = Deadline::AlreadyExpired();
-  // The deadline is checked on a stride; tiny outputs may finish first,
-  // so force many tuples through a bigger AG.
-  for (NodeId w = 100; w < 3000; ++w) f.ag.Set(0).Add(w, 5);
   auto n = defac.Emit(PlanOrder({0, 1, 2}), &sink, options);
   ASSERT_FALSE(n.ok());
   EXPECT_TRUE(n.status().IsTimedOut());
 }
 
 TEST(DefactorizerTest, TombstonedPairsAreSkipped) {
-  ChainFixture f;
-  f.ag.Set(2).Erase(9, 15);
+  ChainFixture f([](AnswerGraphBuilder& b) { b.Set(2).Erase(9, 15); });
   Defactorizer defac(f.q, f.ag);
   CountingSink sink;
   auto n = defac.Emit(PlanOrder({0, 1, 2}), &sink, DefactorizerOptions{});

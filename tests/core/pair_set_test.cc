@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,7 +12,7 @@ namespace wireframe {
 namespace {
 
 TEST(PairSetTest, AddAndContains) {
-  PairSet s;
+  PairSetBuilder s;
   EXPECT_TRUE(s.Add(1, 2));
   EXPECT_TRUE(s.Contains(1, 2));
   EXPECT_FALSE(s.Contains(2, 1));
@@ -18,7 +20,7 @@ TEST(PairSetTest, AddAndContains) {
 }
 
 TEST(PairSetTest, AddDeduplicates) {
-  PairSet s;
+  PairSetBuilder s;
   EXPECT_TRUE(s.Add(1, 2));
   EXPECT_FALSE(s.Add(1, 2));
   EXPECT_EQ(s.Size(), 1u);
@@ -26,7 +28,7 @@ TEST(PairSetTest, AddDeduplicates) {
 }
 
 TEST(PairSetTest, EraseUpdatesCounts) {
-  PairSet s;
+  PairSetBuilder s;
   s.Add(1, 2);
   s.Add(1, 3);
   s.Add(4, 2);
@@ -41,7 +43,7 @@ TEST(PairSetTest, EraseUpdatesCounts) {
 }
 
 TEST(PairSetTest, DistinctCounts) {
-  PairSet s;
+  PairSetBuilder s;
   s.Add(1, 2);
   s.Add(1, 3);
   s.Add(4, 3);
@@ -53,7 +55,7 @@ TEST(PairSetTest, DistinctCounts) {
 }
 
 TEST(PairSetTest, ForEachFwdSkipsTombstones) {
-  PairSet s;
+  PairSetBuilder s;
   s.Add(1, 2);
   s.Add(1, 3);
   s.Add(1, 4);
@@ -66,7 +68,7 @@ TEST(PairSetTest, ForEachFwdSkipsTombstones) {
 }
 
 TEST(PairSetTest, ForEachBwd) {
-  PairSet s;
+  PairSetBuilder s;
   s.Add(1, 9);
   s.Add(2, 9);
   s.Erase(1, 9);
@@ -76,7 +78,7 @@ TEST(PairSetTest, ForEachBwd) {
 }
 
 TEST(PairSetTest, ForEachPairVisitsLiveOnly) {
-  PairSet s;
+  PairSetBuilder s;
   s.Add(1, 2);
   s.Add(3, 4);
   s.Add(5, 6);
@@ -87,7 +89,7 @@ TEST(PairSetTest, ForEachPairVisitsLiveOnly) {
 }
 
 TEST(PairSetTest, ForEachSrcDst) {
-  PairSet s;
+  PairSetBuilder s;
   s.Add(1, 2);
   s.Add(1, 3);
   s.Add(4, 3);
@@ -99,7 +101,7 @@ TEST(PairSetTest, ForEachSrcDst) {
 }
 
 TEST(PairSetTest, EraseDuringFwdIterationIsSafe) {
-  PairSet s;
+  PairSetBuilder s;
   for (NodeId v = 0; v < 10; ++v) s.Add(7, 100 + v);
   std::vector<NodeId> visited;
   s.ForEachFwd(7, [&](NodeId v) {
@@ -111,61 +113,38 @@ TEST(PairSetTest, EraseDuringFwdIterationIsSafe) {
   EXPECT_EQ(s.SrcCount(7), 0u);
 }
 
-TEST(PairSetTest, FreshSetIsCompact) {
-  PairSet s;
-  EXPECT_TRUE(s.IsCompact());
-  s.Add(1, 2);
-  EXPECT_TRUE(s.IsCompact());  // adds never create tombstones
-  s.Erase(1, 2);
-  EXPECT_FALSE(s.IsCompact());
-}
-
-TEST(PairSetTest, CompactDropsTombstonesAndPreservesContent) {
-  PairSet s;
+TEST(PairSetTest, FreezeDropsTombstonesAndPreservesContent) {
+  PairSetBuilder b;
   for (NodeId u = 0; u < 20; ++u) {
-    for (NodeId v = 100; v < 110; ++v) s.Add(u, v);
+    for (NodeId v = 100; v < 110; ++v) b.Add(u, v);
   }
   for (NodeId u = 0; u < 20; u += 2) {
-    for (NodeId v = 100; v < 110; ++v) s.Erase(u, v);
+    for (NodeId v = 100; v < 110; ++v) b.Erase(u, v);
   }
-  EXPECT_FALSE(s.IsCompact());
-  const uint64_t size_before = s.Size();
-  s.Compact();
-  EXPECT_TRUE(s.IsCompact());
+  const uint64_t size_before = b.Size();
+  const PairSet s = std::move(b).Freeze();
   EXPECT_EQ(s.Size(), size_before);
-  // Iteration after compaction sees exactly the live pairs.
+  // The frozen spans hold exactly the live pairs.
   uint64_t seen = 0;
   for (NodeId u = 1; u < 20; u += 2) {
-    s.ForEachFwd(u, [&](NodeId v) {
+    for (NodeId v : s.FwdNeighbors(u)) {
       EXPECT_GE(v, 100u);
       ++seen;
-    });
+    }
   }
   EXPECT_EQ(seen, size_before);
-  // Fully-erased sources disappear from the forward index.
-  s.ForEachFwd(0, [&](NodeId) { FAIL() << "source 0 was fully erased"; });
+  // Fully-erased sources are absent from the forward index.
+  EXPECT_TRUE(s.FwdNeighbors(0).empty());
+  EXPECT_EQ(s.DistinctSrcCount(), 10u);
   // Backward direction too.
   uint64_t back = 0;
   for (NodeId v = 100; v < 110; ++v) {
-    s.ForEachBwd(v, [&](NodeId u) {
+    for (NodeId u : s.BwdNeighbors(v)) {
       EXPECT_EQ(u % 2, 1u);
       ++back;
-    });
+    }
   }
   EXPECT_EQ(back, size_before);
-}
-
-TEST(PairSetTest, CompactIsIdempotent) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Add(3, 4);
-  s.Erase(3, 4);
-  s.Compact();
-  s.Compact();
-  EXPECT_EQ(s.Size(), 1u);
-  EXPECT_TRUE(s.Contains(1, 2));
-  EXPECT_EQ(s.DistinctSrcCount(), 1u);
-  EXPECT_EQ(s.DistinctDstCount(), 1u);
 }
 
 TEST(PairSetShardTest, MergeShardMatchesDirectAdds) {
@@ -177,10 +156,10 @@ TEST(PairSetShardTest, MergeShardMatchesDirectAdds) {
     for (NodeId v = 0; v < 7; ++v) pairs.emplace_back(u, (u + v) % 25);
   }
 
-  PairSet direct;
+  PairSetBuilder direct;
   for (auto [u, v] : pairs) direct.Add(u, v);
 
-  PairSet merged;
+  PairSetBuilder merged;
   constexpr size_t kShardSize = 23;  // deliberately not a divisor
   for (size_t begin = 0; begin < pairs.size(); begin += kShardSize) {
     PairSetShard shard;
@@ -207,7 +186,7 @@ TEST(PairSetShardTest, MergeShardMatchesDirectAdds) {
 }
 
 TEST(PairSetShardTest, MergeShardDeduplicatesAcrossShards) {
-  PairSet set;
+  PairSetBuilder set;
   PairSetShard a, b;
   a.Add(1, 2);
   a.Add(3, 4);
@@ -220,7 +199,7 @@ TEST(PairSetShardTest, MergeShardDeduplicatesAcrossShards) {
 }
 
 TEST(PairSetShardTest, EmptyShardIsANoOp) {
-  PairSet set;
+  PairSetBuilder set;
   set.Add(7, 8);
   PairSetShard empty;
   EXPECT_TRUE(empty.Empty());
@@ -229,71 +208,68 @@ TEST(PairSetShardTest, EmptyShardIsANoOp) {
 }
 
 TEST(PairSetTest, FreezeKeepsEveryObservable) {
-  PairSet mutable_set, frozen_set;
+  PairSetBuilder builder, to_freeze;
   for (NodeId u = 0; u < 30; ++u) {
     for (NodeId v = 0; v < 9; ++v) {
-      mutable_set.Add(u, (u * 3 + v) % 40);
-      frozen_set.Add(u, (u * 3 + v) % 40);
+      builder.Add(u, (u * 3 + v) % 40);
+      to_freeze.Add(u, (u * 3 + v) % 40);
     }
   }
   // Erase a slice so freezing has tombstones to skip.
   for (NodeId u = 0; u < 30; u += 3) {
-    mutable_set.Erase(u, (u * 3) % 40);
-    frozen_set.Erase(u, (u * 3) % 40);
+    builder.Erase(u, (u * 3) % 40);
+    to_freeze.Erase(u, (u * 3) % 40);
   }
-  frozen_set.Compact();
-  frozen_set.Freeze();
-  ASSERT_TRUE(frozen_set.IsFrozen());
-  EXPECT_TRUE(frozen_set.IsCompact());
+  const PairSet frozen = std::move(to_freeze).Freeze();
 
-  EXPECT_EQ(frozen_set.Size(), mutable_set.Size());
-  EXPECT_EQ(frozen_set.DistinctSrcCount(), mutable_set.DistinctSrcCount());
-  EXPECT_EQ(frozen_set.DistinctDstCount(), mutable_set.DistinctDstCount());
-  std::set<std::pair<NodeId, NodeId>> mutable_pairs, frozen_pairs;
-  mutable_set.ForEachPair(
-      [&](NodeId u, NodeId v) { mutable_pairs.emplace(u, v); });
-  frozen_set.ForEachPair(
-      [&](NodeId u, NodeId v) { frozen_pairs.emplace(u, v); });
-  EXPECT_EQ(frozen_pairs, mutable_pairs);
+  EXPECT_EQ(frozen.Size(), builder.Size());
+  EXPECT_EQ(frozen.DistinctSrcCount(), builder.DistinctSrcCount());
+  EXPECT_EQ(frozen.DistinctDstCount(), builder.DistinctDstCount());
+  std::set<std::pair<NodeId, NodeId>> builder_pairs, set_pairs;
+  builder.ForEachPair(
+      [&](NodeId u, NodeId v) { builder_pairs.emplace(u, v); });
+  frozen.ForEachPair(
+      [&](NodeId u, NodeId v) { set_pairs.emplace(u, v); });
+  EXPECT_EQ(set_pairs, builder_pairs);
   for (NodeId u = 0; u < 45; ++u) {
-    EXPECT_EQ(frozen_set.SrcCount(u), mutable_set.SrcCount(u)) << u;
-    EXPECT_EQ(frozen_set.DstCount(u), mutable_set.DstCount(u)) << u;
+    EXPECT_EQ(frozen.SrcCount(u), builder.SrcCount(u)) << u;
+    EXPECT_EQ(frozen.DstCount(u), builder.DstCount(u)) << u;
     for (NodeId v = 0; v < 45; ++v) {
-      EXPECT_EQ(frozen_set.Contains(u, v), mutable_set.Contains(u, v))
+      EXPECT_EQ(frozen.Contains(u, v), builder.Contains(u, v))
           << u << "," << v;
     }
   }
-  // Fwd/bwd scans agree as sets; frozen spans are additionally sorted.
+  // Fwd/bwd spans hold the builder's scans, sorted.
   for (NodeId u = 0; u < 45; ++u) {
-    std::vector<NodeId> frozen_fwd, mutable_fwd;
-    frozen_set.ForEachFwd(u, [&](NodeId v) { frozen_fwd.push_back(v); });
-    mutable_set.ForEachFwd(u, [&](NodeId v) { mutable_fwd.push_back(v); });
-    EXPECT_TRUE(std::is_sorted(frozen_fwd.begin(), frozen_fwd.end()));
-    std::sort(mutable_fwd.begin(), mutable_fwd.end());
-    EXPECT_EQ(frozen_fwd, mutable_fwd) << "u=" << u;
+    std::vector<NodeId> fwd, bwd;
+    builder.ForEachFwd(u, [&](NodeId v) { fwd.push_back(v); });
+    builder.ForEachBwd(u, [&](NodeId w) { bwd.push_back(w); });
+    std::sort(fwd.begin(), fwd.end());
+    std::sort(bwd.begin(), bwd.end());
+    const std::span<const NodeId> fwd_span = frozen.FwdNeighbors(u);
+    const std::span<const NodeId> bwd_span = frozen.BwdNeighbors(u);
+    EXPECT_EQ(std::vector<NodeId>(fwd_span.begin(), fwd_span.end()), fwd)
+        << "u=" << u;
+    EXPECT_EQ(std::vector<NodeId>(bwd_span.begin(), bwd_span.end()), bwd)
+        << "v=" << u;
   }
 }
 
-TEST(PairSetTest, FreezeIsIdempotent) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Freeze();
-  s.Freeze();
-  EXPECT_EQ(s.Size(), 1u);
-  EXPECT_TRUE(s.Contains(1, 2));
-}
-
 TEST(PairSetTest, FreezeOfEmptySet) {
-  PairSet s;
-  s.Freeze();
-  EXPECT_TRUE(s.IsFrozen());
+  const PairSet s = PairSetBuilder().Freeze();
   EXPECT_EQ(s.Size(), 0u);
   EXPECT_FALSE(s.Contains(0, 0));
+  EXPECT_TRUE(s.FwdNeighbors(0).empty());
   s.ForEachPair([](NodeId, NodeId) { FAIL() << "empty frozen set"; });
+  // A default-constructed set is empty too.
+  const PairSet empty;
+  EXPECT_EQ(empty.Size(), 0u);
+  EXPECT_FALSE(empty.Contains(0, 0));
+  EXPECT_TRUE(empty.BwdNeighbors(0).empty());
 }
 
 TEST(PairSetTest, EraseSrcSweepsExactlyTheLivePairs) {
-  PairSet s;
+  PairSetBuilder s;
   for (NodeId v = 0; v < 12; ++v) s.Add(5, 100 + v);
   s.Add(6, 100);
   s.Erase(5, 103);  // pre-existing tombstone the sweep must skip
@@ -313,7 +289,7 @@ TEST(PairSetTest, EraseSrcSweepsExactlyTheLivePairs) {
 }
 
 TEST(PairSetTest, EraseDstSweepsExactlyTheLivePairs) {
-  PairSet s;
+  PairSetBuilder s;
   for (NodeId u = 0; u < 8; ++u) s.Add(200 + u, 9);
   s.Add(200, 10);
   s.Erase(204, 9);
@@ -325,36 +301,16 @@ TEST(PairSetTest, EraseDstSweepsExactlyTheLivePairs) {
   EXPECT_TRUE(s.Contains(200, 10));
 }
 
-// Frozen sets are shared read-only across queries (the runtime's AG
-// cache hands one AG to any number of concurrent runs), so mutating one
-// must die loudly in EVERY build type. These run in Release too — where
-// the former DCHECK-only guard would have been silent memory corruption;
-// that regression is exactly what they pin down.
-TEST(PairSetDeathTest, FrozenMutatorsDieInAllBuildTypes) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Freeze();
-  ASSERT_TRUE(s.IsFrozen());
-  EXPECT_DEATH(s.Add(3, 4), "frozen");
-  EXPECT_DEATH(s.Erase(1, 2), "frozen");
-  EXPECT_DEATH(s.EraseSrc(1, [](NodeId) {}), "frozen");
-  EXPECT_DEATH(s.EraseDst(2, [](NodeId) {}), "frozen");
-  PairSetShard shard;
-  shard.Add(7, 8);
-  EXPECT_DEATH(s.MergeShard(shard), "frozen");
-}
-
-TEST(PairSetTest, FrozenByteSizeIsZeroUntilFrozenThenPositive) {
-  PairSet s;
-  for (NodeId v = 0; v < 16; ++v) s.Add(1, 100 + v);
-  EXPECT_EQ(s.FrozenByteSize(), 0u);
-  s.Freeze();
+TEST(PairSetTest, ByteSizeCoversBothDirections) {
+  PairSetBuilder b;
+  for (NodeId v = 0; v < 16; ++v) b.Add(1, 100 + v);
+  const PairSet s = std::move(b).Freeze();
   // At minimum the fwd+bwd neighbor arrays: 2 directions x 16 pairs.
-  EXPECT_GE(s.FrozenByteSize(), 2 * 16 * sizeof(NodeId));
+  EXPECT_GE(s.ByteSize(), 2 * 16 * sizeof(NodeId));
 }
 
 TEST(PairSetTest, StressManyPairs) {
-  PairSet s;
+  PairSetBuilder s;
   for (NodeId u = 0; u < 100; ++u) {
     for (NodeId v = 0; v < 20; ++v) s.Add(u, v);
   }

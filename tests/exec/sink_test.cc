@@ -39,25 +39,6 @@ TEST(SinkTest, CollectingSinkStoresRows) {
   EXPECT_EQ(sink.rows()[1], (std::vector<NodeId>{3, 4}));
 }
 
-TEST(SinkTest, DistinctProjectingSinkDedups) {
-  CollectingSink inner;
-  DistinctProjectingSink sink({0, 2}, &inner);
-  sink.Emit({1, 100, 2});
-  sink.Emit({1, 200, 2});  // same projection (1, 2)
-  sink.Emit({1, 100, 3});
-  EXPECT_EQ(inner.count(), 2u);
-  EXPECT_EQ(inner.rows()[0], (std::vector<NodeId>{1, 2}));
-  EXPECT_EQ(inner.rows()[1], (std::vector<NodeId>{1, 3}));
-}
-
-TEST(SinkTest, DistinctProjectingSinkOrderSensitive) {
-  CollectingSink inner;
-  DistinctProjectingSink sink({0, 1}, &inner);
-  sink.Emit({1, 2});
-  sink.Emit({2, 1});  // different tuple
-  EXPECT_EQ(inner.count(), 2u);
-}
-
 TEST(SinkShardTest, BuffersUntilBatchThenDrainsInOrder) {
   CollectingSink inner;
   std::mutex mu;

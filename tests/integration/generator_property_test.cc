@@ -33,6 +33,19 @@ AgPlan PlanWithChords(const QueryGraph& q, const Catalog& cat) {
   return std::move(plan).value();
 }
 
+/// True iff node c sits on v's side of at least one pair in every
+/// materialized edge set incident to v (aliveness, read off the frozen
+/// AG's counts).
+bool AliveInFrozen(const AnswerGraph& ag, VarId v, NodeId c) {
+  for (uint32_t f : ag.IncidentSets(v)) {
+    if (!ag.IsMaterialized(f)) continue;
+    const uint32_t count = ag.SrcVar(f) == v ? ag.Set(f).SrcCount(c)
+                                             : ag.Set(f).DstCount(c);
+    if (count == 0) return false;
+  }
+  return true;
+}
+
 TEST_P(GeneratorPropertyTest, InvariantsHoldOnRandomInstances) {
   auto [seed, lookahead] = GetParam();
   Rng rng(seed);
@@ -60,15 +73,11 @@ TEST_P(GeneratorPropertyTest, InvariantsHoldOnRandomInstances) {
     for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) {
       if (!ag.IsMaterialized(e)) continue;
       ag.Set(e).ForEachPair([&](NodeId u, NodeId v) {
-        EXPECT_TRUE(ag.IsAlive(ag.SrcVar(e), u));
-        EXPECT_TRUE(ag.IsAlive(ag.DstVar(e), v));
+        EXPECT_TRUE(AliveInFrozen(ag, ag.SrcVar(e), u));
+        EXPECT_TRUE(AliveInFrozen(ag, ag.DstVar(e), v));
       });
     }
-    // 3. Edge sets are compacted after generation.
-    for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) {
-      EXPECT_TRUE(ag.Set(e).IsCompact());
-    }
-    // 4. Walk accounting: at least one walk per surviving pair.
+    // 3. Walk accounting: at least one walk per surviving pair.
     EXPECT_GE(result->edge_walks, ag.TotalQueryEdgePairs());
   }
 }

@@ -150,29 +150,5 @@ TEST(PropertiesTest, SubqueryAgContainsFullQueryProjections) {
             prefix_detail->ag->Set(0).Size());
 }
 
-// Projection + DISTINCT through the sink wrapper matches a manual dedup.
-TEST(PropertiesTest, DistinctProjectionMatchesManualDedup) {
-  Database db = MakeRandomGraph(20, 2, 180, 123);
-  Catalog cat = Catalog::Build(db.store());
-  QueryGraph q;
-  VarId a = q.AddVar("a"), b = q.AddVar("b"), c = q.AddVar("c");
-  q.AddEdge(a, 0, b);
-  q.AddEdge(b, 1, c);
-
-  WireframeEngine engine;
-  CollectingSink all;
-  ASSERT_TRUE(engine.Run(db, cat, q, EngineOptions{}, &all).ok());
-  std::set<std::vector<NodeId>> manual;
-  for (const auto& row : all.rows()) manual.insert({row[a], row[c]});
-
-  CollectingSink projected;
-  DistinctProjectingSink wrapper({a, c}, &projected);
-  ASSERT_TRUE(engine.Run(db, cat, q, EngineOptions{}, &wrapper).ok());
-  EXPECT_EQ(projected.rows().size(), manual.size());
-  for (const auto& row : projected.rows()) {
-    EXPECT_TRUE(manual.count(row));
-  }
-}
-
 }  // namespace
 }  // namespace wireframe
