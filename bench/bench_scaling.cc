@@ -8,7 +8,9 @@
 // --threads_sweep mode: fixed graph, sweep the worker-thread count over
 // the morsel-driven parallel phases (phase-1 generation, phase-2
 // enumeration, and the PG baseline's build side) and report per-phase
-// wall-clock plus the speedup curve relative to threads=1. One command
+// wall-clock plus the speedup curve relative to threads=1. It exits
+// nonzero when |AG|, the embedding count or the edge walks of a
+// completed row differ from the first completed row's. One command
 // produces the whole curve:
 //
 //   bench_scaling --threads_sweep --scale=1.0 --json=BENCH_pr2.json
@@ -158,6 +160,7 @@ int RunThreadsSweep(const Flags& flags) {
   SweepPoint wf_base;
   double pg_base = 0.0;
   uint32_t base_threads = 0;  // 0 until the first completed row
+  bool mismatches = false;
   for (double t : thread_counts) {
     // Resolve up front (0 = all cores) so the table and the JSON records
     // both report the thread count the row actually ran with.
@@ -179,6 +182,16 @@ int RunThreadsSweep(const Flags& flags) {
     if (base_threads == 0 && wf.ok) {
       wf_base = wf;
       base_threads = threads;
+    } else if (wf.ok && (wf.ag_pairs != wf_base.ag_pairs ||
+                         wf.embeddings != wf_base.embeddings ||
+                         wf.edge_walks != wf_base.edge_walks)) {
+      std::cerr << "MISMATCH at threads=" << threads << ": |AG| "
+                << wf.ag_pairs << " vs " << wf_base.ag_pairs
+                << ", embeddings " << wf.embeddings << " vs "
+                << wf_base.embeddings << ", edge walks " << wf.edge_walks
+                << " vs " << wf_base.edge_walks << " at threads="
+                << base_threads << "\n";
+      mismatches = true;
     }
     if (pg_base == 0.0 && pg.ok) pg_base = pg.seconds;
     auto speedup = [](double base, double now) -> std::string {
@@ -218,10 +231,12 @@ int RunThreadsSweep(const Flags& flags) {
   table.Print(std::cout);
   std::cout << "(speedups are relative to threads="
             << (base_threads == 0 ? 1 : base_threads)
-            << "; the embedding multiset\n"
-               " and |AG| are identical at every thread count)\n";
+            << "; |AG|, embeddings and edge walks\n"
+            << (mismatches ? " DIFFER across thread counts)\n"
+                           : " are identical at every completed thread "
+                             "count)\n");
   if (flags.Has("json")) json.WriteTo(flags.GetString("json", ""));
-  return 0;
+  return mismatches ? 1 : 0;
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 #include <utility>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace wireframe {
 
 namespace {
+
+/// Live pairs per morsel when the freeze applies the fork rule: freezing
+/// a set sorts its pairs into two CSRs, so its work scales with pairs.
+constexpr uint64_t kFreezeMorsel = 1024;
 
 /// Pairs summed over the first `num_query_edges` sets (chords excluded).
 template <typename Set>
@@ -191,18 +194,21 @@ uint64_t AnswerGraphBuilder::TotalQueryEdgePairs() const {
   return QueryEdgePairs(sets_, NumQueryEdges());
 }
 
-AnswerGraph AnswerGraphBuilder::Freeze(ThreadPool* pool, uint32_t weight) && {
+AnswerGraph AnswerGraphBuilder::Freeze(const ForkRule& rule,
+                                       uint32_t weight) && {
+  uint64_t live_pairs = 0;
+  for (const PairSetBuilder& set : sets_) live_pairs += set.Size();
   std::vector<PairSet> frozen(sets_.size());
   auto freeze_range = [&](uint64_t begin, uint64_t end) {
     for (uint64_t s = begin; s < end; ++s) {
       frozen[s] = std::move(sets_[s]).Freeze();
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && sets_.size() > 1) {
+  if (sets_.size() > 1 && rule.Forks(live_pairs, kFreezeMorsel)) {
     ParallelForOptions pf;
     pf.morsel_size = 1;
     pf.weight = weight;
-    const Status st = pool->ParallelFor(
+    const Status st = rule.pool()->ParallelFor(
         sets_.size(), pf,
         [&](uint32_t, uint64_t begin, uint64_t end) {
           freeze_range(begin, end);

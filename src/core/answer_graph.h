@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fork_rule.h"
 #include "planner/embedding_planner.h"
 #include "query/query_graph.h"
 #include "util/common.h"
@@ -14,8 +15,6 @@
 #include "util/hash.h"
 
 namespace wireframe {
-
-class ThreadPool;
 
 /// Thread-local builder for one morsel's share of a PairSetBuilder.
 ///
@@ -390,10 +389,12 @@ class AnswerGraphBuilder : public AgTopology {
   uint64_t TotalQueryEdgePairs() const;
 
   /// Ends phase 1: freezes every edge set into its CSR form. Sets freeze
-  /// independently, so a pool (borrowed, may be null) converts one set
-  /// per morsel; `weight` is the task-group scheduler share on a shared
-  /// pool.
-  AnswerGraph Freeze(ThreadPool* pool = nullptr, uint32_t weight = 1) &&;
+  /// independently, one set per morsel on `rule`'s pool when the total
+  /// live pairs clear the rule's floor (a set's freeze sorts its pairs,
+  /// so pairs, not sets, are the work); `weight` is the task-group
+  /// scheduler share on a shared pool.
+  AnswerGraph Freeze(const ForkRule& rule = ForkRule(),
+                     uint32_t weight = 1) &&;
 
  private:
   /// The materialized incident set of v with fewest distinct nodes at v.

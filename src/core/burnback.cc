@@ -9,6 +9,16 @@
 
 namespace wireframe {
 
+namespace {
+
+/// Seed deaths per morsel when a drain applies the fork rule. The
+/// parallel drain splits its worklist by owning variable rather than
+/// into morsels, so this is the per-thread share a drain must reach
+/// twice over before partitioning pays.
+constexpr uint64_t kSeedMorsel = 256;
+
+}  // namespace
+
 bool Burnback::AliveExcept(VarId v, NodeId c, uint32_t except) const {
   bool touched = false;
   for (uint32_t f : ag_->IncidentSets(v)) {
@@ -53,7 +63,7 @@ void Burnback::DrainSerial() {
 }
 
 void Burnback::DrainParallel() {
-  ThreadPool* pool = options_.pool;
+  ThreadPool* pool = options_.fork.pool();
   const uint32_t num_shards = pool->num_threads();
 
   // One short mutex per edge set: a death at each endpoint of the same
@@ -145,13 +155,13 @@ void Burnback::DrainParallel() {
         });
     WF_CHECK(st.ok()) << "burnback drain has no deadline";
 
-    // A cascade that narrows below the threshold — e.g. a long
+    // A cascade that narrows below the fork rule's floor — e.g. a long
     // dependency chain alternating between owners — would otherwise pay
     // one task-group barrier per level for inherently sequential work.
     // Pull the leftovers back and finish on the serial drain. Safe
     // without the inbox locks: ParallelFor is a barrier, no body runs.
-    if (pending.load(std::memory_order_acquire) <
-        options_.parallel_threshold) {
+    if (!options_.fork.Forks(pending.load(std::memory_order_acquire),
+                             kSeedMorsel)) {
       for (Shard& shard : shards) {
         worklist_.insert(worklist_.end(), shard.local.begin(),
                          shard.local.end());
@@ -169,12 +179,11 @@ void Burnback::DrainParallel() {
     handoffs_ += shard.handoffs;
     max_depth_ = std::max(max_depth_, shard.max_depth);
   }
-  DrainSerial();  // finish any below-threshold tail (no-op when empty)
+  DrainSerial();  // finish any below-floor tail (no-op when empty)
 }
 
 void Burnback::Drain() {
-  if (options_.pool != nullptr && options_.pool->num_threads() > 1 &&
-      worklist_.size() >= options_.parallel_threshold) {
+  if (options_.fork.Forks(worklist_.size(), kSeedMorsel)) {
     DrainParallel();
   } else {
     DrainSerial();

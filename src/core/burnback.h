@@ -5,24 +5,21 @@
 #include <vector>
 
 #include "core/answer_graph.h"
-#include "util/thread_pool.h"
+#include "core/fork_rule.h"
 
 namespace wireframe {
 
 /// Knobs of one Burnback instance (how cascades drain).
 struct BurnbackOptions {
-  /// Worker pool (borrowed, may be null). Null or single-threaded drains
-  /// every cascade serially; otherwise cascades whose seed worklist
-  /// reaches `parallel_threshold` drain on the pool (see Burnback).
-  ThreadPool* pool = nullptr;
+  /// Phase 1's fork rule (core/fork_rule.h): a cascade drains on the
+  /// rule's pool when its seed deaths clear the rule's floor, serially
+  /// otherwise (the default rule never forks). Below the floor the
+  /// per-drain setup (shards, per-set mutexes, one task-group per round)
+  /// costs more than it saves.
+  ForkRule fork;
   /// Scheduler weight of the drain's task-groups on a shared pool
   /// (service class of the owning query; see ParallelForOptions::weight).
   uint32_t weight = 1;
-  /// Minimum seed-worklist size before a cascade drains in parallel;
-  /// below it the per-drain setup (shards, per-set mutexes) costs more
-  /// than it saves. Tests pin this to 1 to force the parallel path on
-  /// small fixtures.
-  uint64_t parallel_threshold = 64;
 };
 
 /// Cascading node burnback (paper §3): "nodes in the AG that failed to
@@ -46,12 +43,16 @@ struct BurnbackOptions {
 /// Erasures lock the affected edge set (one short per-set mutex — a death
 /// at each endpoint of the same set may land in different shards), and
 /// shards drain in rounds on the shared ThreadPool until a global
-/// in-flight counter hits zero, the task-group weight riding in. Because
-/// the fixpoint is confluent and PairSetBuilder erasure is order-oblivious
-/// (tombstones land wherever the erased keys hash, adjacency lists are
-/// untouched), the surviving pair sets — and pairs_erased() — are
-/// identical for every thread count; only the diagnostic depth/handoff
-/// counters are schedule-dependent.
+/// in-flight counter hits zero, the task-group weight riding in. A drain
+/// goes parallel only when its seed deaths clear the fork rule's floor
+/// (BurnbackOptions::fork), and finishes serially once its pending
+/// deaths fall below it.
+///
+/// Because the fixpoint is confluent and PairSetBuilder erasure is
+/// order-oblivious (tombstones land wherever the erased keys hash,
+/// adjacency lists are untouched), the surviving pair sets — and
+/// pairs_erased() — are identical for every thread count; only the
+/// diagnostic depth/handoff counters are schedule-dependent.
 ///
 /// Cost accounting: every erased pair was added by an earlier edge walk,
 /// so burnback is amortized into extension cost (paper §4); the class
@@ -104,8 +105,8 @@ class Burnback {
   /// Erases all pairs incident to (d.var, d.node), queueing starved
   /// neighbors onto worklist_. Serial-drain body.
   void KillOne(const Death& d);
-  /// Drains worklist_ to fixpoint, serially or in parallel per
-  /// BurnbackOptions and the seed size.
+  /// Drains worklist_ to fixpoint, in parallel when the fork rule admits
+  /// the seed count, serially otherwise.
   void Drain();
   void DrainSerial();
   void DrainParallel();

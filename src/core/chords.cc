@@ -129,9 +129,6 @@ Status ChordEvaluator::MaterializeChords(
   WF_CHECK(chord_slots_.size() == chordification_->chords.size())
       << "RegisterChordSlots must run first";
 
-  ThreadPool* pool = options.pool;
-  const bool pool_parallel = pool != nullptr && pool->num_threads() > 1;
-
   // Serial-path interrupt probe, amortized over kProbeStride partner
   // scans; the parallel paths get the same checks per morsel from
   // ParallelFor.
@@ -150,7 +147,7 @@ Status ChordEvaluator::MaterializeChords(
     pf.deadline = options.deadline;
     pf.cancel = options.cancel;
     pf.weight = options.weight;
-    const Status st = pool->ParallelFor(
+    const Status st = options.fork.pool()->ParallelFor(
         n, pf, [&](uint32_t, uint64_t begin, uint64_t end) {
           const uint64_t m = begin / kChordMorsel;
           body(m, begin, end, morsel_walks[m]);
@@ -188,8 +185,7 @@ Status ChordEvaluator::MaterializeChords(
         // endpoint-candidate pairs like regular edge extension. Only the
         // parallel path snapshots the frontier (sharding needs random
         // access); the serial path streams it.
-        const uint64_t frontier_size = ag_->Set(r.uw_slot).Size();
-        if (pool_parallel && frontier_size > kChordMorsel) {
+        if (options.fork.Forks(ag_->Set(r.uw_slot).Size(), kChordMorsel)) {
           const std::vector<std::pair<NodeId, NodeId>> frontier =
               CollectOrientedPairs(*ag_, r.uw_slot, r.u);
           std::vector<std::vector<uint64_t>> found(
@@ -296,7 +292,7 @@ Status ChordEvaluator::MaterializeChords(
           }
           keep[i] = supported ? 1 : 0;
         };
-        if (pool_parallel && pairs.size() > kChordMorsel) {
+        if (options.fork.Forks(pairs.size(), kChordMorsel)) {
           WF_RETURN_NOT_OK(sharded(
               pairs.size(), [&](uint64_t, uint64_t begin, uint64_t end,
                                 uint64_t& morsel_walks) {
@@ -334,7 +330,7 @@ Status ChordEvaluator::MaterializeChords(
     ag_->MarkMaterialized(slot);
     // Chords constrain node sets too: burn back endpoints that lost all
     // support (both endpoints were necessarily touched already). Burnback
-    // cascades serially at this barrier, as in regular edge extension.
+    // drains at this barrier, as after regular edge extension.
     burnback_->PruneAfterExtension(slot, /*src_was_touched=*/true,
                                    /*dst_was_touched=*/true);
     WF_RETURN_NOT_OK(probe.CheckNow("chord materialization"));

@@ -7,9 +7,9 @@
 
 #include "core/answer_graph.h"
 #include "core/burnback.h"
+#include "core/fork_rule.h"
 #include "planner/triangulator.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace wireframe {
@@ -17,16 +17,18 @@ namespace wireframe {
 /// Knobs of one MaterializeChords run.
 struct ChordMaterializeOptions {
   Deadline deadline;
-  /// Worker pool (borrowed, may be null): each chord's triangle joins and
-  /// intersections shard over the triangle's endpoint-candidate pairs,
-  /// exactly like regular edge extension. Null or single-threaded runs
-  /// the serial path; either way the materialized chord sets are
-  /// identical (pairs are canonicalized into ascending packed order
-  /// before insertion, so the AG is thread-count-invariant).
-  ThreadPool* pool = nullptr;
+  /// Phase 1's fork rule (core/fork_rule.h): each chord's triangle join
+  /// shards over the triangle's frontier pairs, and each intersection
+  /// pass over the surviving chord pairs, exactly like regular edge
+  /// extension, when that input clears the rule's floor; below it (and
+  /// under the default rule) the pass runs serially. Either way the
+  /// materialized chord sets are identical (pairs are canonicalized into
+  /// ascending packed order before insertion, so the AG is
+  /// thread-count-invariant).
+  ForkRule fork;
   /// Cooperative cancellation, polled amortized like the deadline.
   std::atomic<bool>* cancel = nullptr;
-  /// Scheduler weight of every task-group this run submits to `pool`
+  /// Scheduler weight of every task-group this run submits to the pool
   /// (service class of the owning query; see ParallelForOptions::weight).
   uint32_t weight = 1;
 };

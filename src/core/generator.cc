@@ -7,6 +7,7 @@
 
 #include "core/burnback.h"
 #include "core/chords.h"
+#include "core/fork_rule.h"
 #include "util/interrupt.h"
 #include "util/logging.h"
 
@@ -23,9 +24,8 @@ constexpr uint32_t kDeadlineStride = 4096;
 /// degree distributions.
 constexpr uint64_t kFrontierMorsel = 256;
 
-/// Snapshots the candidate set of `v` (in ForEachCandidate order, which
-/// the parallel path must preserve to keep insertion order identical to
-/// the serial path).
+/// Snapshots the candidate set of `v` in ForEachCandidate order, the
+/// frontier order both extension paths insert in.
 std::vector<NodeId> CollectCandidates(const AnswerGraphBuilder& ag,
                                       VarId v) {
   std::vector<NodeId> out;
@@ -45,15 +45,14 @@ Result<GeneratorResult> AgGenerator::Generate(
   GeneratorResult result;
   AnswerGraphBuilder ag(query);
 
-  ThreadPool* pool = options.pool;
-  const bool parallel = pool != nullptr && pool->num_threads() > 1;
+  // Every step below (extension level, burnback drain, chord pass,
+  // freeze) forks onto the pool only when its own input clears this
+  // rule's floor, and otherwise runs inline.
+  const ForkRule rule(options.pool, options.force_parallel);
 
-  // Burnback drains its cascades on the same pool (partitioned worklists
-  // with ownership by variable) once a seed list crosses the threshold.
   BurnbackOptions burnback_options;
-  burnback_options.pool = pool;
+  burnback_options.fork = rule;
   burnback_options.weight = options.weight;
-  burnback_options.parallel_threshold = options.burnback_parallel_threshold;
   Burnback burnback(&ag, burnback_options);
 
   // Chord slots are registered up front (unmaterialized slots are inert)
@@ -69,7 +68,7 @@ Result<GeneratorResult> AgGenerator::Generate(
     chord_eval.RegisterChordSlots();
   }
 
-  // Serial-path interrupt probe (cancel + deadline), amortized over
+  // Inline-path interrupt probe (cancel + deadline), amortized over
   // kDeadlineStride items; the parallel paths get the same checks per
   // morsel from ParallelFor.
   InterruptProbe probe(options.deadline, options.cancel, kDeadlineStride);
@@ -78,7 +77,7 @@ Result<GeneratorResult> AgGenerator::Generate(
   // via edge e, every other not-yet-materialized query edge incident to v
   // must have at least one matching data edge at that node. `walks` is
   // the charge account of the calling worker (the shard's counter on the
-  // parallel path, result.edge_walks on the serial one).
+  // parallel path, result.edge_walks inline).
   std::vector<bool> query_edge_done(query.NumEdges(), false);
   auto passes_lookahead = [&](VarId v, NodeId node, uint32_t via_edge,
                               uint64_t& walks) -> bool {
@@ -97,26 +96,37 @@ Result<GeneratorResult> AgGenerator::Generate(
     return true;
   };
 
-  // Parallel level driver: runs body(i, shard) over [0, n) in morsels,
-  // each morsel filling a private PairSetShard, then merges the shards
-  // into `set` in morsel order. The body only reads shared state (store,
-  // AG sets of earlier levels); the merge at the barrier is the only
-  // writer of `set`. Deadline expiry and cancellation surface as the
-  // corresponding non-OK status, in which case nothing is merged.
-  auto sharded_extend = [&](uint64_t n, uint64_t morsel,
-                            PairSetBuilder& set,
-                            auto&& body) -> Status {
-    const uint64_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
+  // Level driver: runs body(i, out, walks) over the frontier [0, n),
+  // where `out` takes the level's pairs (Add) and `walks` is the charge
+  // account of the calling worker. Below the fork rule's floor the level
+  // runs inline straight into `set`. Above it, morsels fill private
+  // PairSetShards that merge into `set` in morsel order at the barrier;
+  // the body then only reads shared state (store, AG sets of earlier
+  // levels), and the merge is the only writer of `set`. Either way the
+  // insertion sequence is the frontier order, so the answer graph —
+  // adjacency order included — is the same. A parallel-path deadline or
+  // cancellation returns the corresponding non-OK status and merges
+  // nothing; the inline path leaves it in `probe`.
+  auto extend = [&](uint64_t n, PairSetBuilder& set, auto&& body) -> Status {
+    if (!rule.Forks(n, kFrontierMorsel)) {
+      for (uint64_t i = 0; i < n && !probe.Hit(); ++i) {
+        body(i, set, result.edge_walks);
+      }
+      return Status::OK();
+    }
+    const uint64_t num_morsels = (n + kFrontierMorsel - 1) / kFrontierMorsel;
     std::vector<PairSetShard> shards(num_morsels);
     ParallelForOptions pf;
-    pf.morsel_size = morsel;
+    pf.morsel_size = kFrontierMorsel;
     pf.deadline = options.deadline;
     pf.cancel = options.cancel;
     pf.weight = options.weight;
-    const Status st = pool->ParallelFor(
+    const Status st = rule.pool()->ParallelFor(
         n, pf, [&](uint32_t /*worker*/, uint64_t begin, uint64_t end) {
-          PairSetShard& shard = shards[begin / morsel];
-          for (uint64_t i = begin; i < end; ++i) body(i, shard);
+          PairSetShard& shard = shards[begin / kFrontierMorsel];
+          for (uint64_t i = begin; i < end; ++i) {
+            body(i, shard, shard.edge_walks);
+          }
         });
     if (!st.ok()) return st;
     for (const PairSetShard& shard : shards) {
@@ -139,141 +149,60 @@ Result<GeneratorResult> AgGenerator::Generate(
       // Label exists in the dictionary but has no triples: the edge set
       // stays empty and burnback below wipes the constrained endpoints.
     } else if (!src_touched && !dst_touched) {
-      // Cold start: the whole labeled edge set enters the AG.
-      if (parallel) {
-        // Morsel over the predicate's distinct subjects (random access
-        // into the CSR index — no transient edge-list copy). Subjects
-        // ascend and objects ascend within each subject, so the merged
-        // insertion order equals the serial ForEachEdge order.
-        const std::span<const NodeId> subjects = store.DistinctSubjects(p);
-        level_status = sharded_extend(
-            subjects.size(), kFrontierMorsel, set,
-            [&](uint64_t i, PairSetShard& shard) {
-              const NodeId s = subjects[i];
-              for (NodeId o : store.OutNeighbors(p, s)) {
-                ++shard.edge_walks;
-                if (passes_lookahead(qe.src, s, e, shard.edge_walks) &&
-                    passes_lookahead(qe.dst, o, e, shard.edge_walks)) {
-                  shard.Add(s, o);
-                }
+      // Cold start: the whole labeled edge set enters the AG. The
+      // frontier is the predicate's distinct subjects (random access
+      // into the CSR index, no edge-list copy); subjects ascend and
+      // objects ascend within each subject, i.e. ForEachEdge order.
+      const std::span<const NodeId> subjects = store.DistinctSubjects(p);
+      level_status = extend(
+          subjects.size(), set,
+          [&](uint64_t i, auto& out, uint64_t& walks) {
+            const NodeId s = subjects[i];
+            for (NodeId o : store.OutNeighbors(p, s)) {
+              ++walks;
+              if (passes_lookahead(qe.src, s, e, walks) &&
+                  passes_lookahead(qe.dst, o, e, walks)) {
+                out.Add(s, o);
               }
-            });
-      } else {
-        store.ForEachEdge(p, [&](NodeId s, NodeId o) {
-          if (probe.Hit()) return;  // sticky: the rest of the scan is cheap
-          ++result.edge_walks;
-          if (passes_lookahead(qe.src, s, e, result.edge_walks) &&
-              passes_lookahead(qe.dst, o, e, result.edge_walks)) {
-            set.Add(s, o);
-          }
-        });
-      }
-    } else if (src_touched && !dst_touched) {
-      if (parallel) {
-        const std::vector<NodeId> frontier = CollectCandidates(ag, qe.src);
-        level_status = sharded_extend(
-            frontier.size(), kFrontierMorsel, set,
-            [&](uint64_t i, PairSetShard& shard) {
-              const NodeId u = frontier[i];
-              ++shard.edge_walks;  // one index probe
-              for (NodeId o : store.OutNeighbors(p, u)) {
-                ++shard.edge_walks;
-                if (passes_lookahead(qe.dst, o, e, shard.edge_walks)) {
-                  shard.Add(u, o);
-                }
-              }
-            });
-      } else {
-        ag.ForEachCandidate(qe.src, [&](NodeId u) {
-          if (probe.Hit()) return;
-          ++result.edge_walks;  // one index probe
-          for (NodeId o : store.OutNeighbors(p, u)) {
-            ++result.edge_walks;
-            if (passes_lookahead(qe.dst, o, e, result.edge_walks)) {
-              set.Add(u, o);
             }
-          }
-        });
-      }
-    } else if (!src_touched && dst_touched) {
-      if (parallel) {
-        const std::vector<NodeId> frontier = CollectCandidates(ag, qe.dst);
-        level_status = sharded_extend(
-            frontier.size(), kFrontierMorsel, set,
-            [&](uint64_t i, PairSetShard& shard) {
-              const NodeId w = frontier[i];
-              ++shard.edge_walks;
-              for (NodeId s : store.InNeighbors(p, w)) {
-                ++shard.edge_walks;
-                if (passes_lookahead(qe.src, s, e, shard.edge_walks)) {
-                  shard.Add(s, w);
-                }
-              }
-            });
-      } else {
-        ag.ForEachCandidate(qe.dst, [&](NodeId w) {
-          if (probe.Hit()) return;
-          ++result.edge_walks;
-          for (NodeId s : store.InNeighbors(p, w)) {
-            ++result.edge_walks;
-            if (passes_lookahead(qe.src, s, e, result.edge_walks)) {
-              set.Add(s, w);
-            }
-          }
-        });
-      }
+          });
     } else {
-      // Both constrained: probe from the side with fewer candidates and
-      // filter the far endpoint by aliveness.
-      const uint64_t src_cand = ag.CandidateCount(qe.src);
-      const uint64_t dst_cand = ag.CandidateCount(qe.dst);
-      if (src_cand <= dst_cand) {
-        if (parallel) {
-          const std::vector<NodeId> frontier = CollectCandidates(ag, qe.src);
-          level_status = sharded_extend(
-              frontier.size(), kFrontierMorsel, set,
-              [&](uint64_t i, PairSetShard& shard) {
-                const NodeId u = frontier[i];
-                ++shard.edge_walks;
-                for (NodeId o : store.OutNeighbors(p, u)) {
-                  ++shard.edge_walks;
-                  if (ag.IsAlive(qe.dst, o)) shard.Add(u, o);
-                }
-              });
-        } else {
-          ag.ForEachCandidate(qe.src, [&](NodeId u) {
-            if (probe.Hit()) return;
-            ++result.edge_walks;
-            for (NodeId o : store.OutNeighbors(p, u)) {
-              ++result.edge_walks;
-              if (ag.IsAlive(qe.dst, o)) set.Add(u, o);
-            }
-          });
-        }
+      // Probe from the constrained endpoint; when both are constrained,
+      // from the side with fewer candidates. Each side's candidates are
+      // snapshotted once (ForEachCandidate order), and the probe side's
+      // snapshot is the frontier. A fresh far endpoint is filtered by
+      // the lookahead, a constrained one by aliveness.
+      std::vector<NodeId> frontier;
+      bool from_src = src_touched;
+      if (src_touched && dst_touched) {
+        std::vector<NodeId> src_cand = CollectCandidates(ag, qe.src);
+        std::vector<NodeId> dst_cand = CollectCandidates(ag, qe.dst);
+        from_src = src_cand.size() <= dst_cand.size();
+        frontier = std::move(from_src ? src_cand : dst_cand);
       } else {
-        if (parallel) {
-          const std::vector<NodeId> frontier = CollectCandidates(ag, qe.dst);
-          level_status = sharded_extend(
-              frontier.size(), kFrontierMorsel, set,
-              [&](uint64_t i, PairSetShard& shard) {
-                const NodeId w = frontier[i];
-                ++shard.edge_walks;
-                for (NodeId s : store.InNeighbors(p, w)) {
-                  ++shard.edge_walks;
-                  if (ag.IsAlive(qe.src, s)) shard.Add(s, w);
-                }
-              });
-        } else {
-          ag.ForEachCandidate(qe.dst, [&](NodeId w) {
-            if (probe.Hit()) return;
-            ++result.edge_walks;
-            for (NodeId s : store.InNeighbors(p, w)) {
-              ++result.edge_walks;
-              if (ag.IsAlive(qe.src, s)) set.Add(s, w);
+        frontier = CollectCandidates(ag, from_src ? qe.src : qe.dst);
+      }
+      const VarId far = from_src ? qe.dst : qe.src;
+      const bool far_touched = from_src ? dst_touched : src_touched;
+      level_status = extend(
+          frontier.size(), set,
+          [&](uint64_t i, auto& out, uint64_t& walks) {
+            const NodeId n = frontier[i];
+            ++walks;  // one index probe
+            for (NodeId m : from_src ? store.OutNeighbors(p, n)
+                                     : store.InNeighbors(p, n)) {
+              ++walks;
+              const bool keep = far_touched
+                                    ? ag.IsAlive(far, m)
+                                    : passes_lookahead(far, m, e, walks);
+              if (!keep) continue;
+              if (from_src) {
+                out.Add(n, m);
+              } else {
+                out.Add(m, n);
+              }
             }
           });
-        }
-      }
     }
     if (!level_status.ok()) return level_status;
     if (probe.triggered()) return probe.StatusFor("answer-graph generation");
@@ -297,7 +226,7 @@ Result<GeneratorResult> AgGenerator::Generate(
     uint64_t walks = 0;
     ChordMaterializeOptions chord_options;
     chord_options.deadline = options.deadline;
-    chord_options.pool = pool;
+    chord_options.fork = rule;
     chord_options.cancel = options.cancel;
     chord_options.weight = options.weight;
     Status st = chord_eval.MaterializeChords(chord_options, &walks);
@@ -327,11 +256,10 @@ Result<GeneratorResult> AgGenerator::Generate(
     }
   }
 
-  // Generation is over: freeze the AG into its read-only CSR form,
-  // set-at-a-time on the pool.
+  // Generation is over: freeze the AG into its read-only CSR form.
   const Stopwatch freeze_watch;
   result.ag = std::make_unique<AnswerGraph>(
-      std::move(ag).Freeze(parallel ? pool : nullptr, options.weight));
+      std::move(ag).Freeze(rule, options.weight));
   result.freeze_seconds = freeze_watch.ElapsedSeconds();
   // Every erasure funnels through `burnback`, so its counter is the
   // authoritative total — including the cascades chord materialization

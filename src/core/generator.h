@@ -49,13 +49,16 @@ struct GeneratorOptions {
   /// engine. bench_ablation_lookahead quantifies the effect.
   bool lookahead = false;
   Deadline deadline;
-  /// Worker pool for morsel-parallel edge extension (not owned). Null or
-  /// single-threaded runs the exact serial code path. Each extension
-  /// level partitions its frontier into morsels whose workers fill
-  /// thread-local PairSetShards; shards merge in morsel order at the
-  /// level barrier, so the answer graph — including adjacency order
-  /// while it is built — is identical for every thread count. Burnback
-  /// and chord materialization run at the barrier.
+  /// Worker pool for phase 1 (not owned). Null or single-threaded runs
+  /// every step serially. Otherwise each step — an extension level, a
+  /// chord pass, a burnback drain, the freeze — forks onto the pool only
+  /// when its own input covers at least two morsels per pool thread
+  /// (ForkRule, core/fork_rule.h) and runs inline below that. A forked
+  /// extension level partitions its frontier into morsels whose workers
+  /// fill thread-local PairSetShards; shards merge in morsel order at the
+  /// level barrier, which is the inline insertion order, so the answer
+  /// graph — including adjacency order while it is built — is identical
+  /// whichever path each step takes and for every thread count.
   ThreadPool* pool = nullptr;
   /// Optional cooperative cancellation (borrowed, may be null): polled on
   /// the same amortized cadence as the deadline; once set, generation
@@ -64,10 +67,10 @@ struct GeneratorOptions {
   /// Scheduler weight of every task-group this run submits to `pool`
   /// (service class of the owning query; see ParallelForOptions::weight).
   uint32_t weight = 1;
-  /// Minimum seed-worklist size before node-burnback cascades drain in
-  /// parallel on `pool` (BurnbackOptions::parallel_threshold). Tests pin
-  /// this to 1 to force the partitioned drain on small fixtures.
-  uint64_t burnback_parallel_threshold = 64;
+  /// Test-only override of the fork rule: every phase-1 step with any
+  /// input forks onto a multi-threaded `pool`, so fixture-sized inputs
+  /// still drive every parallel path (ForkRule's `force`).
+  bool force_parallel = false;
   /// Optional step observer.
   std::function<void(const GeneratorTraceStep&)> trace;
 };

@@ -12,7 +12,12 @@ namespace net {
 namespace {
 
 /// Poll cadence of a reader thread while a query is in flight: how fast
-/// CANCEL frames, disconnects, and server drains are noticed.
+/// CANCEL frames, disconnects, and server drains are noticed. The slice
+/// starts at 1 ms and doubles up to 10 ms: a stream ships megabytes over
+/// loopback within 10 ms, so a short query must see its CANCEL within
+/// about its own run time, while a long one should not wake its reader
+/// more than every 10 ms.
+constexpr int kPumpFirstSliceMs = 1;
 constexpr int kPumpSliceMs = 10;
 /// Poll cadence of an idle reader (between queries) and the acceptor.
 constexpr int kIdleSliceMs = 50;
@@ -611,6 +616,7 @@ bool SocketServer::ServeQuery(Connection& conn, const QueryFrame& query) {
   // Pump the socket while the query runs: CANCEL, GOODBYE, disconnect,
   // and server drain all need to reach a running (or suspended) query.
   bool disconnected = false;
+  int slice_ms = kPumpFirstSliceMs;
   while (!session->done()) {
     if (stopping_.load(std::memory_order_relaxed)) {
       session->Cancel();
@@ -624,10 +630,12 @@ bool SocketServer::ServeQuery(Connection& conn, const QueryFrame& query) {
       break;
     }
     // Completion wakes the cv wait immediately; the socket then gets
-    // one short poll so CANCEL/GOODBYE/EOF are still noticed within a
-    // pump slice — without the query's result latency paying the slice.
-    if (session->WaitFor(kPumpSliceMs / 1000.0)) break;
-    const Status ready = conn.sock.WaitReadable(1, &conn.abort);
+    // one non-blocking look so CANCEL/GOODBYE/EOF are still noticed
+    // within a pump slice — without the query's result latency paying
+    // a socket wait.
+    if (session->WaitFor(slice_ms / 1000.0)) break;
+    slice_ms = std::min(2 * slice_ms, kPumpSliceMs);
+    const Status ready = conn.sock.WaitReadable(0, &conn.abort);
     if (ready.IsTimedOut()) continue;
     if (!ready.ok()) {
       session->Cancel();

@@ -65,12 +65,11 @@ Status PollFor(int fd, short events, int64_t deadline_ms,
       return Status::Cancelled(std::string(what) + " aborted");
     }
     int wait = kPollSliceMs;
+    bool last = false;  // past the deadline: one non-blocking look
     if (deadline_ms >= 0) {
       const int64_t left = deadline_ms - NowMs();
-      if (left <= 0) {
-        return Status::TimedOut(std::string(what) + " timed out");
-      }
-      if (left < wait) wait = static_cast<int>(left);
+      last = left <= 0;
+      if (left < wait) wait = last ? 0 : static_cast<int>(left);
     }
     struct pollfd pfd = {fd, events, 0};
     const int rc = poll(&pfd, 1, wait);
@@ -78,11 +77,12 @@ Status PollFor(int fd, short events, int64_t deadline_ms,
       if (errno == EINTR) continue;
       return Errno(what);
     }
-    if (rc == 0) continue;  // slice expired, re-check abort/deadline
-    if ((pfd.revents & (events | POLLHUP | POLLERR)) != 0) {
+    if (rc > 0 && (pfd.revents & (events | POLLHUP | POLLERR)) != 0) {
       return Status::OK();  // readable/writable — or hung up, which the
                             // following read/write reports precisely
     }
+    if (last) return Status::TimedOut(std::string(what) + " timed out");
+    // Otherwise the slice expired: re-check abort/deadline.
   }
 }
 

@@ -82,9 +82,10 @@ class Socket {
 
   /// Waits until the socket has readable data (or the peer hung up —
   /// the following read then reports it precisely). kTimedOut after
-  /// `timeout_ms`, kCancelled when `abort` flipped. The server's reader
-  /// threads idle here in short slices so cancel frames, disconnects,
-  /// and shutdown drains are all noticed within ~10 ms.
+  /// `timeout_ms` (0 looks once without blocking), kCancelled when
+  /// `abort` flipped. The server's reader threads idle here in short
+  /// slices, and look here between query-completion waits, so cancel
+  /// frames, disconnects, and shutdown drains are all noticed promptly.
   Status WaitReadable(int timeout_ms,
                       const std::atomic<bool>* abort = nullptr);
 

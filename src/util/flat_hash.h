@@ -123,8 +123,7 @@ class PairKeySet {
 };
 
 /// Open-addressing map from NodeId to V, same rationale as PairKeySet.
-/// No per-key deletion (PairSetBuilder's adjacency/count maps never
-/// shrink; EraseIf rebuilds the whole table).
+/// No deletion: PairSetBuilder's adjacency/count maps never shrink.
 template <typename V>
 class NodeMap {
  public:
@@ -165,21 +164,6 @@ class NodeMap {
   void ForEach(Fn&& fn) const {
     for (size_t i = 0; i < keys_.size(); ++i) {
       if (keys_[i] != kEmptyKey) fn(keys_[i], values_[i]);
-    }
-  }
-
-  /// Removes every entry for which pred(key, value&) returns true.
-  /// Rebuilds the table.
-  template <typename Pred>
-  void EraseIf(Pred&& pred) {
-    std::vector<NodeId> keys = std::move(keys_);
-    std::vector<V> values = std::move(values_);
-    size_ = 0;
-    keys_.assign(keys.size(), kEmptyKey);
-    values_.assign(values.size(), V());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == kEmptyKey || pred(keys[i], values[i])) continue;
-      (*this)[keys[i]] = std::move(values[i]);
     }
   }
 

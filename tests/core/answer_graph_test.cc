@@ -221,7 +221,8 @@ TEST(AnswerGraphTest, FreezeWithPoolMatchesSerialFreeze) {
   }
   const AnswerGraph serial_ag = std::move(serial).Freeze();
   ThreadPool pool(4);
-  const AnswerGraph parallel_ag = std::move(parallel).Freeze(&pool);
+  const AnswerGraph parallel_ag =
+      std::move(parallel).Freeze(ForkRule(&pool, /*force=*/true));
   for (uint32_t e = 0; e < 2; ++e) {
     std::vector<std::pair<NodeId, NodeId>> a, b;
     serial_ag.Set(e).ForEachPair(

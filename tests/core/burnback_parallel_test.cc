@@ -2,9 +2,9 @@
 // ownership-partitioned shards (per-variable owners, MPSC handoffs,
 // per-set locks) must leave exactly the surviving pair sets — and the
 // same pairs_erased count — as the serial drain, for every thread count.
-// These tests force the partitioned path with parallel_threshold = 1 so
-// even fixture-sized cascades cross shards, and they are the TSan CI
-// job's workload for the new locking (smoke label).
+// These tests force the partitioned path with the fork rule's test-only
+// override so even fixture-sized cascades cross shards, and they are the
+// TSan CI job's workload for the new locking (smoke label).
 
 #include <set>
 #include <vector>
@@ -19,24 +19,15 @@
 #include "planner/edgifier.h"
 #include "query/parser.h"
 #include "testutil/fixtures.h"
+#include "testutil/phase1.h"
 #include "util/random.h"
 
 namespace wireframe {
 namespace {
 
-/// Snapshot of every edge set of an AG (either form), for equality
-/// checks.
-template <typename Graph>
-std::vector<std::set<uint64_t>> AgPairs(const Graph& ag) {
-  std::vector<std::set<uint64_t>> out(ag.NumEdgeSets());
-  for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) {
-    ag.Set(e).ForEachPair(
-        [&](NodeId u, NodeId v) { out[e].insert(PackPair(u, v)); });
-  }
-  return out;
-}
+using testutil::AgPairs;
 
-/// Runs phase 1 with the given pool width and a threshold-1 burnback so
+/// Runs phase 1 with the given pool width and the fork rule forced, so
 /// every cascade takes the partitioned drain when threads > 1.
 struct GenRun {
   std::vector<std::set<uint64_t>> pairs;
@@ -51,7 +42,7 @@ GenRun GenerateWithThreads(const Database& db, const Catalog& cat,
   EXPECT_TRUE(plan.ok());
   AgGenerator gen(db, cat);
   GeneratorOptions options;
-  options.burnback_parallel_threshold = 1;
+  options.force_parallel = true;
   ThreadPool pool(threads);
   options.pool = threads > 1 ? &pool : nullptr;
   auto result = gen.Generate(q, *plan, options);
@@ -159,8 +150,7 @@ TEST(BurnbackParallelTest, KillNodeMatchesSerialDrain) {
     build(&parallel_ag);
     ThreadPool pool(threads);
     BurnbackOptions options;
-    options.pool = &pool;
-    options.parallel_threshold = 1;
+    options.fork = ForkRule(&pool, /*force=*/true);
     Burnback parallel_bb(&parallel_ag, options);
     const uint64_t parallel_erased = parallel_bb.KillNode(1, 10);
     EXPECT_EQ(parallel_erased, serial_erased) << "threads " << threads;

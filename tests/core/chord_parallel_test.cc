@@ -1,43 +1,61 @@
 // Chord-parallel equivalence: materializing chords sharded over endpoint
 // candidates (like regular edge extension) must produce exactly the chord
 // sets, |AG|, and embeddings of the serial path, for every thread count.
+// Phase 1 runs with the fork rule's test-only override, so every chord
+// pass forks even on fixture-sized inputs and the TSan job (smoke label)
+// races the parallel chord paths.
 
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/generator.h"
 #include "core/wireframe.h"
 #include "datagen/synthetic.h"
 #include "query/parser.h"
 #include "query/shape.h"
 #include "testutil/fixtures.h"
+#include "testutil/phase1.h"
 
 namespace wireframe {
 namespace {
 
 struct ChordRun {
   std::set<std::vector<NodeId>> rows;
+  /// Every frozen edge set, query edges and chords.
+  std::vector<std::set<uint64_t>> sets;
   uint64_t ag_pairs = 0;
   uint64_t chord_pairs = 0;
   bool cyclic = false;
 };
 
+/// Phase 1 as the engine plans it, forced onto the parallel paths at
+/// `threads`, then phase 2 over the resulting AG through the engine.
 ChordRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
                uint32_t threads) {
+  ThreadPool pool(threads);
+  GeneratorOptions gen_options;
+  gen_options.lookahead = WireframeOptions().lookahead;
+  gen_options.pool = &pool;
+  gen_options.force_parallel = true;
+  auto gen = AgGenerator(db, cat).Generate(
+      q, testutil::PlanWithChords(q, cat), gen_options);
+  EXPECT_TRUE(gen.ok()) << gen.status().ToString();
+  ChordRun run;
+  run.cyclic = !AnalyzeShape(q).acyclic;
+  if (!gen.ok()) return run;
+  run.sets = testutil::AgPairs(*gen->ag);
+  run.ag_pairs = gen->ag->TotalQueryEdgePairs();
+  run.chord_pairs = gen->chord_pairs;
+
   WireframeEngine engine;
   CollectingSink sink;
   EngineOptions options;
   options.threads = threads;
-  auto detail = engine.RunDetailed(db, cat, q, options, &sink);
+  auto detail = engine.RunOverAg(q, *gen->ag, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
-  ChordRun run;
   run.rows = {sink.rows().begin(), sink.rows().end()};
-  if (detail.ok()) {
-    run.ag_pairs = detail->stats.ag_pairs;
-    run.chord_pairs = detail->chord_pairs;
-    run.cyclic = detail->cyclic;
-  }
   return run;
 }
 
@@ -51,12 +69,13 @@ TEST_F(ChordParallelFig4Test, Fig4ChordAgreesAcrossThreadCounts) {
     EXPECT_EQ(parallel.rows, serial.rows) << "threads=" << threads;
     EXPECT_EQ(parallel.ag_pairs, serial.ag_pairs);
     EXPECT_EQ(parallel.chord_pairs, serial.chord_pairs);
+    EXPECT_EQ(parallel.sets, serial.sets) << "threads=" << threads;
   }
 }
 
 // A 4-cycle over a dense random graph: the chord's first-triangle
-// frontier spans many morsels, so real cross-thread sharding (not the
-// inline fallback) is exercised, including the intersection pass.
+// frontier spans many morsels, so the forced parallel passes shard
+// across threads, including the intersection pass.
 TEST(ChordParallelTest, DenseSquareSpansManyMorsels) {
   Database db = MakeRandomGraph(80, 3, 6000, 777);
   Catalog cat = Catalog::Build(db.store());
@@ -73,6 +92,7 @@ TEST(ChordParallelTest, DenseSquareSpansManyMorsels) {
     EXPECT_EQ(parallel.ag_pairs, serial.ag_pairs) << "threads=" << threads;
     EXPECT_EQ(parallel.chord_pairs, serial.chord_pairs)
         << "threads=" << threads;
+    EXPECT_EQ(parallel.sets, serial.sets) << "threads=" << threads;
   }
 }
 
@@ -97,6 +117,8 @@ TEST(ChordParallelTest, RandomCyclicInstancesAgree) {
       EXPECT_EQ(parallel.ag_pairs, serial.ag_pairs)
           << "trial " << trial << " threads " << threads;
       EXPECT_EQ(parallel.chord_pairs, serial.chord_pairs)
+          << "trial " << trial << " threads " << threads;
+      EXPECT_EQ(parallel.sets, serial.sets)
           << "trial " << trial << " threads " << threads;
     }
   }

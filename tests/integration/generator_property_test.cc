@@ -3,35 +3,17 @@
 
 #include <gtest/gtest.h>
 
-#include "catalog/estimator.h"
 #include "core/generator.h"
 #include "datagen/synthetic.h"
-#include "planner/edgifier.h"
-#include "query/shape.h"
+#include "testutil/phase1.h"
 
 namespace wireframe {
 namespace {
 
+using testutil::PlanWithChords;
+
 class GeneratorPropertyTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
-
-AgPlan PlanWithChords(const QueryGraph& q, const Catalog& cat) {
-  CardinalityEstimator est(cat);
-  Edgifier edgifier(q, est);
-  auto plan = edgifier.PlanEdgeOrder();
-  EXPECT_TRUE(plan.ok());
-  QueryShape shape = AnalyzeShape(q);
-  if (!shape.acyclic) {
-    Triangulator tri(q, est);
-    auto chords = tri.Triangulate(shape);
-    EXPECT_TRUE(chords.ok());
-    plan->chords = std::move(chords->chords);
-    plan->base_triangles = std::move(chords->base_triangles);
-    plan->base_triangle_closing_edge =
-        std::move(chords->base_triangle_closing_edge);
-  }
-  return std::move(plan).value();
-}
 
 /// True iff node c sits on v's side of at least one pair in every
 /// materialized edge set incident to v (aliveness, read off the frozen

@@ -143,16 +143,6 @@ TEST(NodeMapTest, ForEachVisitsAll) {
   EXPECT_EQ(sum, 145);
 }
 
-TEST(NodeMapTest, EraseIfFiltersAndRebuilds) {
-  NodeMap<uint32_t> map;
-  for (NodeId i = 0; i < 100; ++i) map[i] = i;
-  map.EraseIf([](NodeId, uint32_t& v) { return v % 2 == 0; });
-  EXPECT_EQ(map.Size(), 50u);
-  EXPECT_EQ(map.Find(4), nullptr);
-  ASSERT_NE(map.Find(5), nullptr);
-  EXPECT_EQ(*map.Find(5), 5u);
-}
-
 TEST(NodeMapTest, MatchesStdUnorderedMapUnderRandomOps) {
   NodeMap<uint32_t> map;
   std::unordered_map<NodeId, uint32_t> reference;
