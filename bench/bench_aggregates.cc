@@ -190,15 +190,11 @@ int main(int argc, char** argv) {
           Stopwatch watch;
           if (mode.engine == "WF") {
             WireframeEngine engine(wf_options);
-            CollectingAggregateSink agg_sink;
             CountingSink row_sink;
-            Sink* sink = mode.aggregate
-                             ? static_cast<Sink*>(&agg_sink)
-                             : static_cast<Sink*>(&row_sink);
             const QueryGraph& q =
                 mode.aggregate ? w.count_query : w.plain_query;
             auto detail = engine.RunDetailed(w.db, w.catalog, q, options,
-                                             sink);
+                                             &row_sink);
             if (!detail.ok()) {
               record.timed_out = detail.status().IsTimedOut();
               failed = true;

@@ -84,15 +84,6 @@ std::vector<uint32_t> ParseIntList(const std::string& csv) {
   return out;
 }
 
-/// Nearest-rank percentile of `values` (p in [0, 100]).
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
 struct CellResult {
   double wall_seconds = 0.0;
   double qps = 0.0;

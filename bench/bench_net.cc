@@ -29,8 +29,6 @@
 // comparability key there, so socket recordings never get diffed
 // against in-process ones by accident.
 
-#include <algorithm>
-#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -51,15 +49,6 @@
 using namespace wireframe;
 
 namespace {
-
-/// Nearest-rank percentile of `values` (p in [0, 100]).
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
 
 std::string FormatMs(double ms) {
   char buf[32];

@@ -47,11 +47,14 @@ std::vector<double> ParseList(const std::string& csv) {
 }
 
 /// One measured WF run at a given thread count: phase split from
-/// RunDetailed, averaged over the warm repetitions.
+/// RunDetailed, each the median of the warm repetitions, plus the
+/// q1-q3 spread of the total.
 struct SweepPoint {
   bool ok = false;
   bool timed_out = false;  // timeout or memory-budget abort, paper-style
   double seconds = 0.0;
+  double seconds_q1 = 0.0;
+  double seconds_q3 = 0.0;
   double phase1 = 0.0;
   double burnback = 0.0;
   double freeze = 0.0;
@@ -66,7 +69,7 @@ SweepPoint RunWfPoint(const Database& db, const Catalog& catalog,
                       double timeout) {
   SweepPoint point;
   WireframeEngine engine;
-  int timed_runs = 0;
+  std::vector<double> seconds, phase1, burnback, freeze, phase2;
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
     EngineOptions options;
     options.deadline = Deadline::AfterSeconds(timeout);
@@ -78,25 +81,27 @@ SweepPoint RunWfPoint(const Database& db, const Catalog& catalog,
                         detail.status().code() == StatusCode::kOutOfRange;
       return point;
     }
-    // Warm-cache averaging: skip the first (cold) run when we have more.
+    // Warm-cache repetitions only: skip the first (cold) run when we
+    // have more.
     if (rep > 0 || reps == 1) {
-      point.seconds += detail->stats.seconds;
-      point.phase1 += detail->stats.phase1_seconds;
-      point.burnback += detail->stats.burnback_seconds;
-      point.freeze += detail->stats.freeze_seconds;
-      point.phase2 += detail->stats.phase2_seconds;
-      ++timed_runs;
+      seconds.push_back(detail->stats.seconds);
+      phase1.push_back(detail->stats.phase1_seconds);
+      burnback.push_back(detail->stats.burnback_seconds);
+      freeze.push_back(detail->stats.freeze_seconds);
+      phase2.push_back(detail->stats.phase2_seconds);
     }
     point.ag_pairs = detail->stats.ag_pairs;
     point.embeddings = detail->stats.output_tuples;
     point.edge_walks = detail->stats.edge_walks;
   }
   point.ok = true;
-  point.seconds /= std::max(1, timed_runs);
-  point.phase1 /= std::max(1, timed_runs);
-  point.burnback /= std::max(1, timed_runs);
-  point.freeze /= std::max(1, timed_runs);
-  point.phase2 /= std::max(1, timed_runs);
+  point.seconds = Percentile(seconds, 50);
+  point.seconds_q1 = Percentile(seconds, 25);
+  point.seconds_q3 = Percentile(seconds, 75);
+  point.phase1 = Percentile(phase1, 50);
+  point.burnback = Percentile(burnback, 50);
+  point.freeze = Percentile(freeze, 50);
+  point.phase2 = Percentile(phase2, 50);
   return point;
 }
 
@@ -155,8 +160,9 @@ int RunThreadsSweep(const Flags& flags) {
   json.SetMeta("reps", std::to_string(reps));
   const std::string query_id = "T1-Q" + std::to_string(query_index + 1);
 
-  TablePrinter table({"threads", "WF total (s)", "phase1 (s)", "phase2 (s)",
-                      "p1 speedup", "p2 speedup", "PG (s)", "PG speedup"});
+  TablePrinter table({"threads", "WF total (s)", "WF q1-q3 (s)",
+                      "phase1 (s)", "phase2 (s)", "p1 speedup", "p2 speedup",
+                      "PG (s)", "PG speedup"});
   SweepPoint wf_base;
   double pg_base = 0.0;
   uint32_t base_threads = 0;  // 0 until the first completed row
@@ -203,6 +209,9 @@ int RunThreadsSweep(const Flags& flags) {
     table.AddRow({std::to_string(threads),
                   wf.ok ? TablePrinter::FormatSeconds(wf.seconds)
                         : TablePrinter::Timeout(),
+                  wf.ok ? TablePrinter::FormatSeconds(wf.seconds_q1) + "-" +
+                              TablePrinter::FormatSeconds(wf.seconds_q3)
+                        : "-",
                   TablePrinter::FormatSeconds(wf.phase1),
                   TablePrinter::FormatSeconds(wf.phase2),
                   speedup(wf_base.phase1, wf.phase1),

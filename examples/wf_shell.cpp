@@ -82,7 +82,7 @@ void RunAggregateQuery(ShellState& state, const QueryGraph& query) {
   uint64_t ag_pairs = 0;
   if (state.engine_name == "WF") {
     WireframeEngine engine;
-    CollectingAggregateSink sink;
+    CountingSink sink;
     auto detail = engine.RunDetailed(*state.db, *state.catalog, query,
                                      options, &sink);
     if (!detail.ok()) {

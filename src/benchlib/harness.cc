@@ -1,5 +1,7 @@
 #include "benchlib/harness.h"
 
+#include <algorithm>
+#include <cmath>
 #include <ostream>
 
 #include "util/logging.h"
@@ -7,6 +9,14 @@
 #include "util/timer.h"
 
 namespace wireframe {
+
+double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t rank = static_cast<size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(values.size())));
+  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
+}
 
 BenchRecord ToRecord(const std::string& engine, const std::string& query_id,
                      const BenchCell& cell) {

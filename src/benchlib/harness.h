@@ -61,6 +61,9 @@ struct BenchCell {
   double phase2_seconds = 0.0;
 };
 
+/// Nearest-rank percentile of `values` (p in [0, 100]); 0 when empty.
+double Percentile(std::vector<double> values, double p);
+
 /// Flattens one bench cell into the machine-readable record shape.
 BenchRecord ToRecord(const std::string& engine, const std::string& query_id,
                      const BenchCell& cell);

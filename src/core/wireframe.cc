@@ -50,37 +50,41 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
                                       const AnswerGraph& ag,
                                       const EngineOptions& options,
                                       ThreadPool* pool, Sink* sink,
+                                      const Stopwatch& total,
                                       WireframeRunDetail* detail) {
+  Stopwatch phase2_watch;
   const AggregateSpec& spec = query.aggregate();
   if (spec.kind == AggregateKind::kNone) {
-    return EmitEmbeddings(query, ag, options, pool, sink, detail);
-  }
-  Stopwatch aggregate_watch;
-  detail->has_aggregate = true;
-  AggregatePlanner planner(query);
-  const AggregatePlan plan =
-      planner.Plan(spec, AggregateExecutor::MaterializedChords(ag));
-  if (plan.mode != AggregateMode::kEnumerate) {
-    AggregateExecutor executor(query, ag);
-    AggregateExecutorOptions exec_options;
-    exec_options.deadline = options.deadline;
-    exec_options.pool = pool;
-    exec_options.cancel = options.runtime.cancel;
-    exec_options.weight = options.runtime.weight;
-    WF_ASSIGN_OR_RETURN(detail->aggregate,
-                        executor.Run(plan, spec, exec_options));
+    WF_RETURN_NOT_OK(EmitEmbeddings(query, ag, options, pool, sink, detail));
+    detail->stats.output_tuples = detail->phase2_stats.emitted;
   } else {
-    EnumeratingAggregateSink fold(spec);
-    const Status enumerated =
-        EmitEmbeddings(query, ag, options, pool, &fold, detail);
-    if (!enumerated.ok()) return enumerated;
-    detail->aggregate = fold.TakeResult();
-    detail->aggregate.fallback_reason = plan.reason;
+    Stopwatch aggregate_watch;
+    detail->has_aggregate = true;
+    AggregatePlanner planner(query);
+    const AggregatePlan plan =
+        planner.Plan(spec, AggregateExecutor::MaterializedChords(ag));
+    if (plan.mode != AggregateMode::kEnumerate) {
+      AggregateExecutor executor(query, ag);
+      AggregateExecutorOptions exec_options;
+      exec_options.deadline = options.deadline;
+      exec_options.pool = pool;
+      exec_options.cancel = options.runtime.cancel;
+      exec_options.weight = options.runtime.weight;
+      WF_ASSIGN_OR_RETURN(detail->aggregate,
+                          executor.Run(plan, spec, exec_options));
+    } else {
+      EnumeratingAggregateSink fold(spec);
+      WF_RETURN_NOT_OK(
+          EmitEmbeddings(query, ag, options, pool, &fold, detail));
+      detail->aggregate = fold.TakeResult();
+      detail->aggregate.fallback_reason = plan.reason;
+    }
+    detail->stats.aggregate_seconds = aggregate_watch.ElapsedSeconds();
+    detail->stats.output_tuples = detail->aggregate.NumRows();
   }
-  detail->stats.aggregate_seconds = aggregate_watch.ElapsedSeconds();
-  if (auto* aggregate_sink = dynamic_cast<AggregateSink*>(sink)) {
-    aggregate_sink->OnAggregate(detail->aggregate);
-  }
+  detail->stats.phase2_seconds = phase2_watch.ElapsedSeconds();
+  detail->stats.seconds = total.ElapsedSeconds();
+  detail->stats.ag_pairs = ag.TotalQueryEdgePairs();
   return Status::OK();
 }
 
@@ -133,27 +137,15 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   detail.stats.phase1_seconds = phase1_watch.ElapsedSeconds();
   detail.stats.burnback_seconds = gen.burnback_seconds;
   detail.stats.freeze_seconds = gen.freeze_seconds;
-  detail.pairs_burned = gen.pairs_burned;
   detail.chord_pairs = gen.chord_pairs;
-
-  // --- Phase 2: embeddings, or the factorized aggregate DP. ---
-  Stopwatch phase2_watch;
-  {
-    const Status phase2 =
-        ExecutePhase2(query, *gen.ag, options, pool, sink, &detail);
-    if (!phase2.ok()) return phase2;
-  }
-  detail.stats.phase2_seconds = phase2_watch.ElapsedSeconds();
-
-  detail.stats.seconds = total.ElapsedSeconds();
   detail.stats.edge_walks = gen.edge_walks;
-  detail.stats.output_tuples = detail.has_aggregate
-                                   ? detail.aggregate.NumRows()
-                                   : detail.phase2_stats.emitted;
-  detail.stats.ag_pairs = gen.ag->TotalQueryEdgePairs();
   detail.stats.pairs_burned = gen.pairs_burned;
   detail.stats.burnback_depth = gen.burnback_depth;
   detail.stats.burnback_handoffs = gen.burnback_handoffs;
+
+  // --- Phase 2: embeddings, or the factorized aggregate DP. ---
+  WF_RETURN_NOT_OK(
+      ExecutePhase2(query, *gen.ag, options, pool, sink, total, &detail));
   detail.ag = std::move(gen.ag);
   return detail;
 }
@@ -168,20 +160,8 @@ Result<WireframeRunDetail> WireframeEngine::RunOverAg(
   ThreadPool* pool = lease.get();
   detail.threads = lease.threads();
   detail.cyclic = !AnalyzeShape(query).acyclic;
-
-  Stopwatch phase2_watch;
-  {
-    const Status phase2 =
-        ExecutePhase2(query, ag, options, pool, sink, &detail);
-    if (!phase2.ok()) return phase2;
-  }
-  detail.stats.phase2_seconds = phase2_watch.ElapsedSeconds();
-
-  detail.stats.seconds = total.ElapsedSeconds();
-  detail.stats.output_tuples = detail.has_aggregate
-                                   ? detail.aggregate.NumRows()
-                                   : detail.phase2_stats.emitted;
-  detail.stats.ag_pairs = ag.TotalQueryEdgePairs();
+  WF_RETURN_NOT_OK(
+      ExecutePhase2(query, ag, options, pool, sink, total, &detail));
   return detail;
 }
 

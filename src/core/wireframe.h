@@ -12,6 +12,7 @@
 #include "planner/edgifier.h"
 #include "planner/embedding_planner.h"
 #include "planner/triangulator.h"
+#include "util/timer.h"
 
 namespace wireframe {
 
@@ -52,7 +53,6 @@ struct WireframeRunDetail {
   /// Resolved worker-thread count the run used (EngineOptions::threads
   /// with 0 mapped to the hardware core count).
   uint32_t threads = 1;
-  uint64_t pairs_burned = 0;
   uint64_t chord_pairs = 0;
   bool cyclic = false;
   /// The frozen answer graph (query edges, plus chords when used).
@@ -111,14 +111,17 @@ class WireframeEngine : public Engine {
   const WireframeOptions& wireframe_options() const { return options_; }
 
  private:
-  /// Shared phase-2 body of RunDetailed and RunOverAg: routes aggregate
-  /// queries to the factorized counting DP (enumerate-then-count when
-  /// the plan declines), plain SELECTs to the bushy/pipelined embedding
-  /// executors. Delivers aggregate results to `sink` when it is an
-  /// AggregateSink.
+  /// Shared phase-2 body and stats tail of RunDetailed and RunOverAg:
+  /// routes aggregate queries to the factorized counting DP
+  /// (enumerate-then-count when the plan declines) and plain SELECTs to
+  /// the bushy/pipelined embedding executors, then fills the phase-2
+  /// time, the total time since `total` started, the output tuples and
+  /// |AG|. An aggregate answer lands in `detail->aggregate` only; no
+  /// row of it reaches `sink`.
   Status ExecutePhase2(const QueryGraph& query, const AnswerGraph& ag,
                        const EngineOptions& options, ThreadPool* pool,
-                       Sink* sink, WireframeRunDetail* detail);
+                       Sink* sink, const Stopwatch& total,
+                       WireframeRunDetail* detail);
   /// The plain embedding-enumeration phase 2 (bushy when configured and
   /// plannable, pipelined defactorizer otherwise).
   Status EmitEmbeddings(const QueryGraph& query, const AnswerGraph& ag,

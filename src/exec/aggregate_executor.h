@@ -80,34 +80,6 @@ struct AggregateResult {
   }
 };
 
-/// Sink variant for consumers of aggregate results. Engines route
-/// aggregate queries away from row emission entirely and deliver one
-/// AggregateResult through OnAggregate instead; Emit never fires for
-/// them.
-class AggregateSink : public Sink {
- public:
-  bool Emit(const std::vector<NodeId>&) override { return true; }
-  uint64_t count() const override { return 0; }
-
-  virtual void OnAggregate(const AggregateResult& result) = 0;
-};
-
-/// Stores the single delivered result (tests, server plumbing).
-class CollectingAggregateSink : public AggregateSink {
- public:
-  void OnAggregate(const AggregateResult& result) override {
-    result_ = result;
-    has_result_ = true;
-  }
-
-  bool has_result() const { return has_result_; }
-  const AggregateResult& result() const { return result_; }
-
- private:
-  AggregateResult result_;
-  bool has_result_ = false;
-};
-
 /// Enumerate-then-count fallback: folds emitted embedding rows into the
 /// same AggregateResult shape the DP produces. Engines run their normal
 /// phase 2 into this when the plan is kEnumerate, and the equivalence

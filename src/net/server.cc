@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "util/interrupt.h"
-
 namespace wireframe {
 namespace net {
 
@@ -72,10 +70,8 @@ struct SocketServer::Connection {
 /// morsel interleaving.
 class SocketServer::StreamSink : public Sink {
  public:
-  StreamSink(const SocketServerOptions& options, Connection* conn,
-             double timeout_seconds)
-      : options_(options), conn_(conn),
-        timeout_seconds_(timeout_seconds) {}
+  StreamSink(SocketServer* server, Connection* conn, double timeout_seconds)
+      : server_(server), conn_(conn), timeout_seconds_(timeout_seconds) {}
 
   bool Emit(const std::vector<NodeId>& binding) override {
     size_t handed = 0;
@@ -125,15 +121,16 @@ class SocketServer::StreamSink : public Sink {
  private:
   /// First row: sizes the batches and starts the stream budget.
   void Start(uint32_t width) {
+    const SocketServerOptions& options = server_->options_;
     const uint64_t row_bytes = std::max<uint64_t>(1, width * sizeof(NodeId));
     // One encoded frame must fit in half the send buffer (strict
     // high-water bound) and under the frame cap.
-    const uint64_t half_buffer = options_.send_buffer_bytes / 2 > 16
-                                     ? options_.send_buffer_bytes / 2 - 16
+    const uint64_t half_buffer = options.send_buffer_bytes / 2 > 16
+                                     ? options.send_buffer_bytes / 2 - 16
                                      : 1;
     const uint64_t frame_cap =
-        options_.max_frame_bytes > 8 ? options_.max_frame_bytes - 8 : 1;
-    uint64_t rows = options_.rows_per_batch;
+        options.max_frame_bytes > 8 ? options.max_frame_bytes - 8 : 1;
+    uint64_t rows = options.rows_per_batch;
     rows = std::min(rows, half_buffer / row_bytes);
     rows = std::min(rows, frame_cap / row_bytes);
     batch_rows_ = std::max<uint64_t>(1, rows);
@@ -146,49 +143,13 @@ class SocketServer::StreamSink : public Sink {
                             &cancel_);
   }
 
-  bool FlushBatch() { return Push(writer_.Finish()); }
-
   /// Back-pressured enqueue; on refusal records why in stream_status_.
-  bool Push(std::string frame) {
-    std::unique_lock<std::mutex> lock(conn_->mu);
-    bool stalled = false;
-    for (;;) {
-      if (conn_->abort.load(std::memory_order_relaxed)) {
-        stream_status_ =
-            Status::IOError("connection aborted mid-stream");
-        return false;
-      }
-      if (conn_->closing) {
-        stream_status_ = Status::Cancelled("connection closing");
-        return false;
-      }
-      Status probed = probe_.CheckNow(
-          "result stream suspended past the query budget");
-      if (!probed.ok()) {
-        stream_status_ = probed;
-        return false;
-      }
-      if (conn_->queue.empty() ||
-          conn_->queue_bytes + frame.size() <=
-              options_.send_buffer_bytes) {
-        break;
-      }
-      if (!stalled) {
-        stalled = true;
-        ++conn_->stats.send_stalls;
-      }
-      conn_->can_push.wait_for(lock, kPushSlice);
-    }
-    conn_->queue_bytes += frame.size();
-    conn_->stats.buffer_bytes = conn_->queue_bytes;
-    conn_->stats.buffer_high_water =
-        std::max(conn_->stats.buffer_high_water, conn_->queue_bytes);
-    conn_->queue.push_back(std::move(frame));
-    conn_->can_pop.notify_one();
-    return true;
+  bool FlushBatch() {
+    stream_status_ = server_->Enqueue(*conn_, writer_.Finish(), &probe_);
+    return stream_status_.ok();
   }
 
-  const SocketServerOptions& options_;
+  SocketServer* server_;
   Connection* conn_;
   const double timeout_seconds_;
   uint64_t batch_rows_ = 0;  // 0 until the first row arrives
@@ -425,21 +386,27 @@ std::string SocketServer::EncodeStatusSnapshot() const {
   return EncodeStatus(status);
 }
 
-bool SocketServer::PushFrame(Connection& conn, FrameType type,
-                             const std::string& payload) {
-  std::string frame;
-  AppendFrame(type, payload, &frame);
+Status SocketServer::Enqueue(Connection& conn, std::string frame,
+                             InterruptProbe* probe) {
   std::unique_lock<std::mutex> lock(conn.mu);
+  bool stalled = false;
   for (;;) {
-    if (conn.abort.load(std::memory_order_relaxed)) return false;
-    if (conn.closing) return false;
+    if (conn.abort.load(std::memory_order_relaxed)) {
+      return Status::IOError("connection aborted mid-stream");
+    }
+    if (conn.closing) return Status::Cancelled("connection closing");
+    if (probe != nullptr) {
+      WF_RETURN_NOT_OK(
+          probe->CheckNow("result stream suspended past the query budget"));
+    }
     if (conn.queue.empty() ||
         conn.queue_bytes + frame.size() <= options_.send_buffer_bytes) {
       break;
     }
-    // Bounded overall: a client that neither reads nor dies trips the
-    // writer's write timeout, which aborts the connection and pops us
-    // out of this wait.
+    if (!stalled && probe != nullptr) {
+      stalled = true;
+      ++conn.stats.send_stalls;
+    }
     conn.can_push.wait_for(lock, kPushSlice);
   }
   conn.queue_bytes += frame.size();
@@ -448,7 +415,14 @@ bool SocketServer::PushFrame(Connection& conn, FrameType type,
       std::max(conn.stats.buffer_high_water, conn.queue_bytes);
   conn.queue.push_back(std::move(frame));
   conn.can_pop.notify_one();
-  return true;
+  return Status::OK();
+}
+
+bool SocketServer::PushFrame(Connection& conn, FrameType type,
+                             const std::string& payload) {
+  std::string frame;
+  AppendFrame(type, payload, &frame);
+  return Enqueue(conn, std::move(frame), nullptr).ok();
 }
 
 void SocketServer::ServeSession(Connection& conn) {
@@ -483,10 +457,8 @@ void SocketServer::ServeSession(Connection& conn) {
     return;
   }
   conn.service_class = hello->service_class;
-  const std::string resolved = server_->runtime().ResolveServiceClassName(
-      conn.service_class.empty()
-          ? server_->options().default_service_class
-          : conn.service_class);
+  const std::string& resolved =
+      server_->ResolveServiceClass(conn.service_class);
   {
     std::lock_guard<std::mutex> lock(conn.mu);
     conn.stats.service_class = resolved;
@@ -587,7 +559,7 @@ bool SocketServer::ServeQuery(Connection& conn, const QueryFrame& query) {
                             .options()
                             .admission.default_timeout_seconds;
   }
-  StreamSink sink(options_, &conn, effective_timeout);
+  StreamSink sink(this, &conn, effective_timeout);
   runtime::SubmitRejection rejection;
   Result<std::shared_ptr<runtime::QuerySession>> submitted =
       server_->Submit(query.sparql, &sink, conn.service_class,
@@ -600,14 +572,9 @@ bool SocketServer::ServeQuery(Connection& conn, const QueryFrame& query) {
     // at least that much.
     runtime::QueryReport report;
     report.index = sequence;
-    report.admitted = false;
-    report.outcome = runtime::QueryOutcome::kFailed;
     report.status = submitted.status();
     report.retry_after_ms = rejection.retry_after_ms;
-    report.service_class = server_->runtime().ResolveServiceClassName(
-        conn.service_class.empty()
-            ? server_->options().default_service_class
-            : conn.service_class);
+    report.service_class = server_->ResolveServiceClass(conn.service_class);
     return PushFrame(conn, FrameType::kReport, EncodeReport(report));
   }
   std::shared_ptr<runtime::QuerySession> session =
@@ -714,18 +681,8 @@ bool SocketServer::ServeQuery(Connection& conn, const QueryFrame& query) {
     return false;
   }
 
-  runtime::QueryReport report;
+  runtime::QueryReport report = session->Report();
   report.index = sequence;
-  report.admitted = true;
-  report.service_class = session->service_class();
-  report.outcome = session->outcome();
-  report.status = session->status();
-  report.stats = session->stats();
-  report.cache_hit = session->cache_hit();
-  report.has_aggregate = session->has_aggregate();
-  report.rows = session->rows_emitted();
-  report.queue_seconds = session->queue_seconds();
-  report.run_seconds = session->run_seconds();
   // A sink that refused rows reads as a clean stop to the engine; the
   // suspension record says what actually happened.
   if (report.outcome == runtime::QueryOutcome::kCompleted &&
@@ -737,7 +694,7 @@ bool SocketServer::ServeQuery(Connection& conn, const QueryFrame& query) {
   }
 
   if (report.has_aggregate) {
-    const std::string aggregate = EncodeAggregate(session->aggregate());
+    const std::string aggregate = EncodeAggregate(report.aggregate);
     if (aggregate.size() > options_.max_frame_bytes) {
       report.has_aggregate = false;
       PushFrame(conn, FrameType::kError,

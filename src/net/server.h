@@ -14,6 +14,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/server.h"
+#include "util/interrupt.h"
 
 namespace wireframe {
 namespace net {
@@ -117,8 +118,15 @@ class SocketServer {
   /// (idle), kInvalidArgument/kParseError (malformed — reply then
   /// close), kIOError (disconnect), kCancelled (abort/drain).
   Result<Frame> ReadFrame(Connection& conn, int timeout_ms);
-  /// Enqueues one frame behind everything already queued, waiting for
-  /// buffer room. False when the connection aborted (frame dropped).
+  /// Enqueues one encoded frame behind everything already queued,
+  /// waiting in short slices for send-buffer room. A result frame passes
+  /// its stream's `probe`: the wait ends when the probe fires, and it
+  /// counts one send stall. Control frames pass null; the writer's write
+  /// timeout bounds their wait. Not OK (frame dropped) when the
+  /// connection aborted or is closing, or the probe fired.
+  Status Enqueue(Connection& conn, std::string frame,
+                 InterruptProbe* probe);
+  /// Encodes and enqueues one control frame. False when it was dropped.
   bool PushFrame(Connection& conn, FrameType type,
                  const std::string& payload);
   /// Encoded STATUS payload: point-in-time queue depths, per-tenant

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "core/wireframe.h"
@@ -91,6 +92,23 @@ bool QuerySession::has_aggregate() const {
 AggregateResult QuerySession::aggregate() const {
   std::lock_guard<std::mutex> lock(mu_);
   return aggregate_;
+}
+
+QueryReport QuerySession::Report() const {
+  QueryReport report;
+  report.admitted = true;
+  report.service_class = service_class_;
+  std::lock_guard<std::mutex> lock(mu_);
+  report.outcome = outcome_;
+  report.status = status_;
+  report.stats = stats_;
+  report.cache_hit = cache_hit_;
+  report.has_aggregate = has_aggregate_;
+  report.aggregate = aggregate_;
+  report.rows = rows_emitted_;
+  report.queue_seconds = queue_seconds_;
+  report.run_seconds = run_seconds_;
+  return report;
 }
 
 QueryRuntime::QueryRuntime(RuntimeOptions options)
@@ -484,57 +502,58 @@ std::pair<QueryOutcome, Status> QueryRuntime::Execute(QuerySession& session) {
 
   Stopwatch run_watch;
   EngineRunArtifacts artifacts;
-  Result<EngineStats> result =
-      RunEngine(session, options, run_sink, &artifacts);
+  const Status run = RunEngine(session, options, run_sink, &artifacts);
   const double run_seconds = run_watch.ElapsedSeconds();
 
   QueryOutcome outcome;
-  Status status;
-  if (result.ok()) {
+  if (run.ok()) {
     outcome = budget_sink.exhausted() ? QueryOutcome::kBudgetExhausted
                                       : QueryOutcome::kCompleted;
-  } else if (result.status().IsCancelled()) {
+  } else if (run.IsCancelled()) {
     outcome = QueryOutcome::kCancelled;
-    status = result.status();
-  } else if (result.status().IsTimedOut()) {
+  } else if (run.IsTimedOut()) {
     outcome = QueryOutcome::kTimedOut;
-    status = result.status();
   } else {
     outcome = QueryOutcome::kFailed;
-    status = result.status();
   }
   {
     std::lock_guard<std::mutex> lock(session.mu_);
     session.run_seconds_ = run_seconds;
-    if (result.ok()) session.stats_ = result.value();
+    session.stats_ = artifacts.stats;
     session.cache_hit_ = artifacts.cache_hit;
     session.has_aggregate_ = artifacts.has_aggregate;
     session.aggregate_ = std::move(artifacts.aggregate);
     session.rows_emitted_ = run_sink->count();
   }
-  return {outcome, std::move(status)};
+  return {outcome, run};
 }
 
-Result<EngineStats> QueryRuntime::RunEngine(QuerySession& session,
-                                            const EngineOptions& options,
-                                            Sink* sink,
-                                            EngineRunArtifacts* artifacts) {
+Status QueryRuntime::RunEngine(QuerySession& session,
+                               const EngineOptions& options, Sink* sink,
+                               EngineRunArtifacts* artifacts) {
   const QueryRequest& req = session.request_;
-  const bool is_aggregate =
-      req.query.aggregate().kind != AggregateKind::kNone;
-  if (ag_cache_ != nullptr && req.engine == "WF" &&
-      ag_cache_->enabled(session.tenant_)) {
+  const AggregateSpec& spec = req.query.aggregate();
+  const bool is_aggregate = spec.kind != AggregateKind::kNone;
+  EngineStats stats;
+  AggregateResult aggregate;
+  if (req.engine == "WF") {
     const size_t tenant = session.tenant_;
+    const bool caching = ag_cache_ != nullptr && ag_cache_->enabled(tenant);
     // Entries are keyed by canonical shape but stored in the variable
     // space of the query that filled them (CachedAg), so one entry
     // serves every isomorphic renaming and a verbatim repeat pays no
     // per-row remap. Engines never consult projection/DISTINCT (sink
     // concerns), so serving a repeat from the filler's query shape
     // changes no result.
-    CanonicalQuery canon = CanonicalizeQuery(req.query);
+    CanonicalQuery canon;
+    std::shared_ptr<const CachedAg> hit;
+    if (caching) {
+      canon = CanonicalizeQuery(req.query);
+      hit = ag_cache_->Lookup(tenant, canon.key);
+    }
     WireframeEngine engine;
-    if (std::shared_ptr<const CachedAg> hit =
-            ag_cache_->Lookup(tenant, canon.key)) {
+    WireframeRunDetail detail;
+    if (hit != nullptr) {
       artifacts->cache_hit = true;
       // Compose the two canonical renamings into submitted -> filler:
       // the filler var playing submitted var v's role is the one with
@@ -545,125 +564,102 @@ Result<EngineStats> QueryRuntime::RunEngine(QuerySession& session,
         from_canonical[hit->to_canonical[v]] = v;
       }
       std::vector<VarId> to_filler(n);
-      bool identity = true;
+      bool verbatim = true;
       for (VarId v = 0; v < n; ++v) {
         to_filler[v] = from_canonical[canon.to_canonical[v]];
-        identity = identity && to_filler[v] == v;
+        verbatim = verbatim && to_filler[v] == v;
       }
       // Same naming and same edge order: run the submitted query over
       // the shared AG directly — the hit is pure phase-1 savings. (Edge
       // order matters because AG edge sets are indexed by edge.)
-      bool verbatim = identity;
       for (uint32_t e = 0; verbatim && e < req.query.NumEdges(); ++e) {
         const QueryEdge& a = req.query.Edge(e);
         const QueryEdge& b = hit->query.Edge(e);
         verbatim = a.src == b.src && a.dst == b.dst && a.label == b.label;
       }
-      if (verbatim) {
-        WF_ASSIGN_OR_RETURN(
-            WireframeRunDetail detail,
-            engine.RunOverAg(req.query, *hit->ag, options, sink));
-        artifacts->has_aggregate = detail.has_aggregate;
-        artifacts->aggregate = std::move(detail.aggregate);
-        return detail.stats;
-      }
-      if (is_aggregate) {
-        // Renamed isomorphic aggregate: run the filler's query shape
-        // with the submitted spec mapped into its variable space. The
-        // answer (counts keyed by data nodes) is renaming-invariant, so
-        // no per-row remap exists to pay — a cached SELECT's AG serves
-        // a later COUNT of the same shape with zero phase 1.
-        QueryGraph filler_query = hit->query;
-        AggregateSpec spec = req.query.aggregate();
-        if (spec.distinct_var != kInvalidVar) {
-          spec.distinct_var = to_filler[spec.distinct_var];
+      const QueryGraph* query = &req.query;
+      Sink* run_sink = sink;
+      std::optional<QueryGraph> renamed_aggregate;
+      std::optional<RemapSink> remap;
+      if (!verbatim) {
+        // Renamed isomorphic repeat: run the filler's query shape and
+        // restore the submitted variable order per row. An aggregate
+        // emits no rows; its spec moves into the filler's variable space
+        // instead, and its answer (counts keyed by data nodes) is
+        // renaming-invariant.
+        query = &hit->query;
+        if (is_aggregate) {
+          AggregateSpec filler_spec = spec;
+          if (filler_spec.distinct_var != kInvalidVar) {
+            filler_spec.distinct_var = to_filler[filler_spec.distinct_var];
+          }
+          if (filler_spec.group_var != kInvalidVar) {
+            filler_spec.group_var = to_filler[filler_spec.group_var];
+          }
+          renamed_aggregate.emplace(hit->query);
+          renamed_aggregate->SetAggregate(std::move(filler_spec));
+          query = &*renamed_aggregate;
         }
-        if (spec.group_var != kInvalidVar) {
-          spec.group_var = to_filler[spec.group_var];
-        }
-        filler_query.SetAggregate(std::move(spec));
-        WF_ASSIGN_OR_RETURN(
-            WireframeRunDetail detail,
-            engine.RunOverAg(filler_query, *hit->ag, options, sink));
-        artifacts->has_aggregate = detail.has_aggregate;
-        artifacts->aggregate = std::move(detail.aggregate);
-        return detail.stats;
+        run_sink = &remap.emplace(sink, std::move(to_filler));
       }
-      // Renamed isomorphic repeat: execute the filler's query shape and
-      // restore the submitted variable order per row.
-      RemapSink remap(sink, to_filler);
-      WF_ASSIGN_OR_RETURN(
-          WireframeRunDetail detail,
-          engine.RunOverAg(hit->query, *hit->ag, options, &remap));
-      return detail.stats;
-    }
-    const bool filling = ag_cache_->BeginFill(tenant, canon.key);
-    // Miss: run the submitted query untouched — same plan, sink path,
-    // and per-row cost as the uncached runtime.
-    Result<WireframeRunDetail> detail =
-        engine.RunDetailed(*req.db, *req.catalog, req.query, options, sink);
-    if (!detail.ok()) {
-      if (filling) ag_cache_->EndFill(tenant, canon.key, nullptr, 0.0);
-      return detail.status();
-    }
-    artifacts->has_aggregate = detail->has_aggregate;
-    artifacts->aggregate = std::move(detail->aggregate);
-    if (filling) {
-      // The entry's reconstruction cost is what a future hit saves:
-      // phase 1 including burnback and freeze, not phase 2 (hits still
-      // pay phase 2). A budget- or sink-stopped run still yields a
-      // complete AG — phase 1 always runs to the end — so it fills too.
-      if (detail->ag != nullptr) {
-        auto value = std::make_shared<CachedAg>();
-        value->ag = std::shared_ptr<const AnswerGraph>(std::move(detail->ag));
-        value->query = req.query;
-        // The cached query is a shape, not a request: strip any
-        // aggregate so a COUNT-filled entry serves later plain SELECTs
-        // (and vice versa) without smuggling the filler's spec along.
-        value->query.SetAggregate({});
-        value->to_canonical = std::move(canon.to_canonical);
+      WF_ASSIGN_OR_RETURN(detail,
+                          engine.RunOverAg(*query, *hit->ag, options, run_sink));
+    } else {
+      const bool filling = caching && ag_cache_->BeginFill(tenant, canon.key);
+      // Miss or cache off: run the submitted query untouched — same
+      // plan, sink path, and per-row cost as the uncached runtime.
+      Result<WireframeRunDetail> cold =
+          engine.RunDetailed(*req.db, *req.catalog, req.query, options, sink);
+      if (filling) {
+        // The entry's reconstruction cost is what a future hit saves:
+        // phase 1 including burnback and freeze, not phase 2 (hits
+        // still pay phase 2). A budget- or sink-stopped run still
+        // yields a complete AG — phase 1 always runs to the end — so
+        // it fills too.
+        std::shared_ptr<CachedAg> value;
+        double build_seconds = 0.0;
+        if (cold.ok() && cold->ag != nullptr) {
+          value = std::make_shared<CachedAg>();
+          value->ag = std::shared_ptr<const AnswerGraph>(std::move(cold->ag));
+          value->query = req.query;
+          // The cached query is a shape, not a request: strip any
+          // aggregate so a COUNT-filled entry serves later plain SELECTs
+          // (and vice versa) without smuggling the filler's spec along.
+          value->query.SetAggregate({});
+          value->to_canonical = std::move(canon.to_canonical);
+          build_seconds = cold->stats.phase1_seconds;
+        }
         ag_cache_->EndFill(tenant, canon.key, std::move(value),
-                           detail->stats.phase1_seconds);
-      } else {
-        ag_cache_->EndFill(tenant, canon.key, nullptr, 0.0);
+                           build_seconds);
       }
+      if (!cold.ok()) return cold.status();
+      detail = std::move(cold).value();
     }
-    return detail->stats;
-  }
-  if (req.engine == "WF" && is_aggregate) {
-    // Cache-off WF aggregate: the detailed API is required anyway —
-    // Engine::Run returns only EngineStats and would drop the answer.
-    WireframeEngine engine;
-    WF_ASSIGN_OR_RETURN(
-        WireframeRunDetail detail,
-        engine.RunDetailed(*req.db, *req.catalog, req.query, options, sink));
-    artifacts->has_aggregate = detail.has_aggregate;
-    artifacts->aggregate = std::move(detail.aggregate);
-    return detail.stats;
-  }
-  std::unique_ptr<Engine> engine = MakeEngine(req.engine);
-  WF_CHECK(engine != nullptr) << "engine validated at Submit";
-  if (is_aggregate) {
-    // Baseline engines know nothing of aggregates: enumerate their rows
-    // into the counting fold and report the folded answer. Their whole
-    // run is the "aggregate phase".
+    stats = detail.stats;
+    aggregate = std::move(detail.aggregate);
+  } else {
+    std::unique_ptr<Engine> engine = MakeEngine(req.engine);
+    WF_CHECK(engine != nullptr) << "engine validated at Submit";
+    // Baseline engines know nothing of aggregates: they enumerate their
+    // rows into the counting fold, and their whole run is the
+    // "aggregate phase".
     Stopwatch aggregate_watch;
-    EnumeratingAggregateSink fold(req.query.aggregate());
+    std::optional<EnumeratingAggregateSink> fold;
+    if (is_aggregate) fold.emplace(spec);
     WF_ASSIGN_OR_RETURN(
-        EngineStats stats,
-        engine->Run(*req.db, *req.catalog, req.query, options, &fold));
-    artifacts->has_aggregate = true;
-    artifacts->aggregate = fold.TakeResult();
-    artifacts->aggregate.fallback_reason =
-        "engine '" + req.engine + "' enumerates";
-    stats.aggregate_seconds = aggregate_watch.ElapsedSeconds();
-    stats.output_tuples = artifacts->aggregate.NumRows();
-    if (auto* aggregate_sink = dynamic_cast<AggregateSink*>(sink)) {
-      aggregate_sink->OnAggregate(artifacts->aggregate);
+        stats, engine->Run(*req.db, *req.catalog, req.query, options,
+                           fold ? &*fold : sink));
+    if (fold) {
+      aggregate = fold->TakeResult();
+      aggregate.fallback_reason = "engine '" + req.engine + "' enumerates";
+      stats.aggregate_seconds = aggregate_watch.ElapsedSeconds();
+      stats.output_tuples = aggregate.NumRows();
     }
-    return stats;
   }
-  return engine->Run(*req.db, *req.catalog, req.query, options, sink);
+  artifacts->stats = stats;
+  artifacts->has_aggregate = is_aggregate;
+  artifacts->aggregate = std::move(aggregate);
+  return Status::OK();
 }
 
 void QueryRuntime::Finish(QuerySession& session, QueryOutcome outcome,

@@ -160,6 +160,41 @@ enum class QueryOutcome {
 
 const char* QueryOutcomeName(QueryOutcome outcome);
 
+/// Outcome of one query of a batch, flattened for callers that do not
+/// want to hold sessions.
+struct QueryReport {
+  /// Position in the submitted batch.
+  size_t index = 0;
+  /// Resolved service class: the tenant the query ran as — or would have
+  /// run as, for queries rejected at admission (a shed query still
+  /// belongs to the tenant whose quota shed it; dashboards aggregate
+  /// rejections by class).
+  std::string service_class;
+  /// True once the query was admitted past admission control (false for
+  /// parse errors and rejections; `status` then says why — admission
+  /// rejections carry kResourceExhausted explicitly).
+  bool admitted = false;
+  QueryOutcome outcome = QueryOutcome::kFailed;
+  Status status;
+  EngineStats stats;
+  /// True iff the run was served from the answer-graph cache (phase 1 +
+  /// burnback skipped; stats.phase1_seconds is 0).
+  bool cache_hit = false;
+  /// Aggregate answer (COUNT/ASK/GROUP BY queries): has_aggregate says
+  /// the query carried one; aggregate.factorized says whether the
+  /// counting DP produced it without enumeration, and
+  /// aggregate.value.saturated flags a count past even 128 bits.
+  bool has_aggregate = false;
+  AggregateResult aggregate;
+  uint64_t rows = 0;
+  double queue_seconds = 0.0;
+  double run_seconds = 0.0;
+  /// Backoff hint in milliseconds for rejected queries (nonzero only on
+  /// brownout kOverloaded sheds). Clients should wait this long before
+  /// resubmitting.
+  uint32_t retry_after_ms = 0;
+};
+
 /// Handle to one admitted query. Created by QueryRuntime::Submit; shared
 /// between the caller and the runtime's driver threads. All methods are
 /// thread-safe.
@@ -206,6 +241,9 @@ class QuerySession {
   /// Seconds spent waiting for a driver slot / executing.
   double queue_seconds() const;
   double run_seconds() const;
+  /// All of the above as one admitted QueryReport, read under one lock
+  /// (index 0: the caller numbers its reports).
+  QueryReport Report() const;
 
  private:
   friend class QueryRuntime;
@@ -243,11 +281,11 @@ struct SubmitRejection {
   uint32_t retry_after_ms = 0;
 };
 
-/// Side results of one engine run that EngineStats does not carry: the
+/// What one engine run hands back to its session: the stats, the
 /// cache-hit verdict and, for aggregate queries, the scalar or grouped
-/// answer itself (engines deliver it out of band — no row ever reaches
-/// the request sink for an aggregate).
+/// answer (no row of an aggregate ever reaches the request sink).
 struct EngineRunArtifacts {
+  EngineStats stats;
   bool cache_hit = false;
   bool has_aggregate = false;
   AggregateResult aggregate;
@@ -409,16 +447,15 @@ class QueryRuntime {
   /// updates the runtime counters first and then calls Finish, so a
   /// stats() call racing a Wait()er never misses a completion.
   std::pair<QueryOutcome, Status> Execute(QuerySession& session);
-  /// Dispatches one run to its engine. WF queries of a cache-enabled
-  /// tenant run in canonical form against the AG cache (hit: phase 2
-  /// only over the shared frozen AG; miss: full run, then single-flight
-  /// insert); WF aggregates run through the detailed engine API so the
-  /// aggregate answer survives; baseline engines serve aggregates by
-  /// enumerate-then-count; everything else takes the historic MakeEngine
-  /// path. `*artifacts` reports what happened.
-  Result<EngineStats> RunEngine(QuerySession& session,
-                                const EngineOptions& options, Sink* sink,
-                                EngineRunArtifacts* artifacts);
+  /// Dispatches one run to its engine. WF runs over a cached AG on a
+  /// hit of a cache-enabled tenant (phase 2 only: the submitted query,
+  /// or the filler's shape behind a row remap for a renamed hit), and
+  /// otherwise runs in full, filling the cache when it claimed the fill.
+  /// Baseline engines run into the request sink, or into an
+  /// enumerate-then-count fold for aggregates. `*artifacts` receives
+  /// the run's outcome; cache_hit is set even when a hit run fails.
+  Status RunEngine(QuerySession& session, const EngineOptions& options,
+                   Sink* sink, EngineRunArtifacts* artifacts);
   /// Finishes and drops queued sessions whose cancel flag is set, so a
   /// cancelled-but-never-run query stops holding an admission slot.
   /// Caller holds mu_.

@@ -55,6 +55,13 @@ Result<std::shared_ptr<QuerySession>> Server::Submit(
   return runtime_.Submit(MakeRequest(query, sink, service_class));
 }
 
+const std::string& Server::ResolveServiceClass(
+    std::string_view service_class) const {
+  return runtime_.ResolveServiceClassName(
+      service_class.empty() ? options_.default_service_class
+                            : std::string(service_class));
+}
+
 std::vector<QueryReport> Server::RunBatch(
     const std::vector<std::string>& queries,
     const std::vector<Sink*>* sinks,
@@ -63,8 +70,6 @@ std::vector<QueryReport> Server::RunBatch(
   std::vector<std::shared_ptr<QuerySession>> sessions(queries.size());
 
   for (size_t i = 0; i < queries.size(); ++i) {
-    QueryReport& report = reports[i];
-    report.index = i;
     Sink* sink =
         sinks != nullptr && i < sinks->size() ? (*sinks)[i] : nullptr;
     const std::string_view service_class =
@@ -73,36 +78,23 @@ std::vector<QueryReport> Server::RunBatch(
             : std::string_view();
     Result<std::shared_ptr<QuerySession>> session =
         Submit(queries[i], sink, service_class);
-    // The class resolves whether or not the query was admitted: a
-    // rejected query is still the resolved tenant's rejection.
-    report.service_class = runtime_.ResolveServiceClassName(
-        service_class.empty() ? options_.default_service_class
-                              : std::string(service_class));
     if (!session.ok()) {
       // Parse error or admission rejection: terminal immediately, with
-      // the status saying why (quota sheds are ResourceExhausted).
-      report.status = session.status();
+      // the status saying why (quota sheds are ResourceExhausted). A
+      // rejected query is still the resolved tenant's rejection.
+      reports[i].index = i;
+      reports[i].service_class = ResolveServiceClass(service_class);
+      reports[i].status = session.status();
       continue;
     }
-    report.admitted = true;
     sessions[i] = std::move(session).value();
   }
 
   for (size_t i = 0; i < sessions.size(); ++i) {
     if (sessions[i] == nullptr) continue;
-    const QuerySession& session = *sessions[i];
-    session.Wait();
-    QueryReport& report = reports[i];
-    report.service_class = session.service_class();
-    report.outcome = session.outcome();
-    report.status = session.status();
-    report.stats = session.stats();
-    report.cache_hit = session.cache_hit();
-    report.has_aggregate = session.has_aggregate();
-    report.aggregate = session.aggregate();
-    report.rows = session.rows_emitted();
-    report.queue_seconds = session.queue_seconds();
-    report.run_seconds = session.run_seconds();
+    sessions[i]->Wait();
+    reports[i] = sessions[i]->Report();
+    reports[i].index = i;
   }
   return reports;
 }

@@ -29,41 +29,6 @@ struct ServerOptions {
   std::string default_service_class;
 };
 
-/// Outcome of one query of a batch, flattened for callers that do not
-/// want to hold sessions.
-struct QueryReport {
-  /// Position in the submitted batch.
-  size_t index = 0;
-  /// Resolved service class: the tenant the query ran as — or would have
-  /// run as, for queries rejected at admission (a shed query still
-  /// belongs to the tenant whose quota shed it; dashboards aggregate
-  /// rejections by class).
-  std::string service_class;
-  /// True once the query was admitted past admission control (false for
-  /// parse errors and rejections; `status` then says why — admission
-  /// rejections carry kResourceExhausted explicitly).
-  bool admitted = false;
-  QueryOutcome outcome = QueryOutcome::kFailed;
-  Status status;
-  EngineStats stats;
-  /// True iff the run was served from the answer-graph cache (phase 1 +
-  /// burnback skipped; stats.phase1_seconds is 0).
-  bool cache_hit = false;
-  /// Aggregate answer (COUNT/ASK/GROUP BY queries): has_aggregate says
-  /// the query carried one; aggregate.factorized says whether the
-  /// counting DP produced it without enumeration, and
-  /// aggregate.value.saturated flags a count past even 128 bits.
-  bool has_aggregate = false;
-  AggregateResult aggregate;
-  uint64_t rows = 0;
-  double queue_seconds = 0.0;
-  double run_seconds = 0.0;
-  /// Backoff hint in milliseconds for rejected queries (nonzero only on
-  /// brownout kOverloaded sheds). Clients should wait this long before
-  /// resubmitting.
-  uint32_t retry_after_ms = 0;
-};
-
 /// Front-end of the shared query runtime: accepts SPARQL text (or
 /// pre-bound QueryGraphs), parses and binds it against one immutable
 /// database, and runs any number of in-flight queries concurrently
@@ -109,6 +74,13 @@ class Server {
       const std::vector<std::string>& queries,
       const std::vector<Sink*>* sinks = nullptr,
       const std::vector<std::string>* service_classes = nullptr);
+
+  /// Name of the tenant a query naming `service_class` runs as (or, if
+  /// rejected, would have run as): empty takes
+  /// ServerOptions::default_service_class, then the name resolves like
+  /// QueryRuntime::ResolveServiceClassName.
+  const std::string& ResolveServiceClass(
+      std::string_view service_class) const;
 
   QueryRuntime& runtime() { return runtime_; }
   const QueryRuntime& runtime() const { return runtime_; }

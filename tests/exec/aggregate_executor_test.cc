@@ -22,9 +22,10 @@ WireframeRunDetail RunAggregate(const Database& db, const Catalog& cat,
   WireframeEngine engine(wf_options);
   EngineOptions options;
   options.threads = threads;
-  CollectingAggregateSink sink;
+  CountingSink sink;
   auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
+  EXPECT_EQ(sink.count(), 0u) << "an aggregate emits no rows";
   return std::move(detail).value();
 }
 

@@ -52,11 +52,12 @@ void ExpectAggregateEquivalent(const Database& db, const Catalog& cat,
       WireframeEngine engine(wf_options);
       EngineOptions options;
       options.threads = threads;
-      CollectingAggregateSink sink;
+      CountingSink sink;
       auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
       ASSERT_TRUE(detail.ok())
           << what << ": " << detail.status().ToString();
       ASSERT_TRUE(detail->has_aggregate) << what;
+      EXPECT_EQ(sink.count(), 0u) << what << ": an aggregate emits no rows";
       EXPECT_EQ(detail->aggregate.value, reference.value)
           << what << " bushy=" << bushy << " threads=" << threads;
       EXPECT_EQ(detail->aggregate.groups, reference.groups)

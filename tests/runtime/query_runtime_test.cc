@@ -9,12 +9,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/wireframe.h"
 #include "datagen/synthetic.h"
 #include "query/parser.h"
 #include "runtime/query_runtime.h"
@@ -903,6 +905,119 @@ TEST_F(QueryRuntimeTest, ServerReportsCarryCacheHits) {
     }
   }
 }
+
+// --- Aggregates through each engine kind's run path. ---
+
+/// How an aggregate reaches its engine: a baseline folds enumerated
+/// rows; WF runs cold, or over an AG a plain SELECT cached first, with
+/// the aggregate spelled verbatim or under renamed variables.
+enum class AggregatePath { kCold, kVerbatimHit, kRenamedHit };
+
+struct AggregatePathCase {
+  std::string engine;
+  AggregatePath path;
+};
+
+std::string CaseName(const AggregatePathCase& param) {
+  switch (param.path) {
+    case AggregatePath::kCold:
+      return param.engine;
+    case AggregatePath::kVerbatimHit:
+      return param.engine + "_verbatim_hit";
+    case AggregatePath::kRenamedHit:
+      return param.engine + "_renamed_hit";
+  }
+  return param.engine;
+}
+
+void PrintTo(const AggregatePathCase& param, std::ostream* os) {
+  *os << CaseName(param);
+}
+
+class AggregatePathTest
+    : public QueryRuntimeTest,
+      public ::testing::WithParamInterface<AggregatePathCase> {};
+
+// COUNT(*), COUNT(DISTINCT), GROUP BY and ASK through runtime::Server
+// on every engine: each answer equals a direct factorized WF run, and
+// no row reaches the request sink.
+TEST_P(AggregatePathTest, AnswersMatchTheFactorizedRun) {
+  const AggregatePathCase& param = GetParam();
+  const std::string body = "{ ?w A ?x . ?x B ?y . ?y C ?z . }";
+  // Renamed variables and reversed edges: a cache hit on the SELECT's
+  // entry must map the counted/grouped ?b onto the entry's ?x.
+  const std::string renamed_body = "{ ?c C ?d . ?b B ?c . ?a A ?b . }";
+  const bool renamed = param.path == AggregatePath::kRenamedHit;
+  const std::string& agg_body = renamed ? renamed_body : body;
+  const std::string var = renamed ? "?b" : "?x";
+  const std::vector<std::string> aggregates = {
+      "select (count(*) as ?n) where " + agg_body,
+      "select (count(distinct " + var + ") as ?n) where " + agg_body,
+      "select " + var + " (count(*) as ?n) where " + agg_body +
+          " group by " + var,
+      "ask " + agg_body,
+  };
+
+  ServerOptions options;
+  options.default_engine = param.engine;
+  // One driver: the batch runs in order, so the SELECT fills the cache
+  // before any aggregate looks it up.
+  options.runtime = SmallRuntime(/*max_inflight=*/1, /*max_queued=*/16);
+  const bool cached = param.path != AggregatePath::kCold;
+  if (cached) options.runtime.admission.ag_cache_bytes = 32ull << 20;
+  Server server(db_, cat_, options);
+
+  std::vector<std::string> batch;
+  if (cached) batch.push_back("select * where " + body);
+  batch.insert(batch.end(), aggregates.begin(), aggregates.end());
+  std::vector<CountingSink> sinks(batch.size());
+  std::vector<Sink*> sink_ptrs;
+  for (CountingSink& sink : sinks) sink_ptrs.push_back(&sink);
+  const std::vector<QueryReport> reports = server.RunBatch(batch, &sink_ptrs);
+  ASSERT_EQ(reports.size(), batch.size());
+
+  WireframeEngine reference_engine;
+  for (size_t i = batch.size() - aggregates.size(); i < batch.size(); ++i) {
+    const QueryReport& report = reports[i];
+    SCOPED_TRACE(batch[i]);
+    auto query = SparqlParser::ParseAndBind(batch[i], db_);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    CountingSink reference_sink;
+    auto reference = reference_engine.RunDetailed(
+        db_, cat_, *query, EngineOptions{}, &reference_sink);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(reference->aggregate.factorized);
+
+    ASSERT_EQ(report.outcome, QueryOutcome::kCompleted)
+        << report.status.ToString();
+    ASSERT_TRUE(report.has_aggregate);
+    EXPECT_EQ(report.aggregate.value, reference->aggregate.value);
+    EXPECT_EQ(report.aggregate.groups, reference->aggregate.groups);
+    EXPECT_EQ(report.aggregate.ask, reference->aggregate.ask);
+    EXPECT_EQ(report.cache_hit, cached);
+    if (param.engine != "WF") {
+      EXPECT_NE(report.aggregate.fallback_reason.find("'" + param.engine +
+                                                      "'"),
+                std::string::npos)
+          << report.aggregate.fallback_reason;
+    }
+    EXPECT_EQ(sinks[i].count(), 0u);
+    EXPECT_EQ(report.rows, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginePaths, AggregatePathTest,
+    ::testing::Values(AggregatePathCase{"WF", AggregatePath::kCold},
+                      AggregatePathCase{"WF", AggregatePath::kVerbatimHit},
+                      AggregatePathCase{"WF", AggregatePath::kRenamedHit},
+                      AggregatePathCase{"PG", AggregatePath::kCold},
+                      AggregatePathCase{"VT", AggregatePath::kCold},
+                      AggregatePathCase{"MD", AggregatePath::kCold},
+                      AggregatePathCase{"NJ", AggregatePath::kCold}),
+    [](const ::testing::TestParamInfo<AggregatePathCase>& info) {
+      return CaseName(info.param);
+    });
 
 // Burnback diagnostics (pairs_burned, cascade depth, handoffs) ride
 // EngineStats into the session and the server's per-query reports, and
