@@ -13,9 +13,10 @@ namespace wireframe {
 
 namespace {
 
-/// First-edge pairs per morsel on the parallel path. Each pair roots a
-/// whole enumeration subtree, so morsels are small to balance skew; the
-/// dispatch cost is one fetch_add per morsel.
+/// First-edge pairs per morsel on the parallel path, and the fork rule's
+/// morsel for the root partition. Each pair roots a whole enumeration
+/// subtree, so morsels are small to balance skew; the dispatch cost is
+/// one fetch_add per morsel.
 constexpr uint64_t kRootMorsel = 64;
 
 /// One chord evaluated by span intersection: at its check depth exactly
@@ -69,11 +70,11 @@ struct alignas(kCacheLineBytes) EmitContext {
   std::vector<std::vector<NodeId>> isect_a;
   std::vector<std::vector<NodeId>> isect_b;
 
-  /// Amortized deadline + cancellation probe; also true once the sink
-  /// declined more rows.
-  bool DeadlineHit() {
+  /// Amortized deadline + cancellation probe charged `ticks` calls; also
+  /// true once the sink declined more rows.
+  bool DeadlineHit(uint32_t ticks = 1) {
     if (stop) return true;
-    if (!probe.Hit()) return false;
+    if (!probe.Hit(ticks)) return false;
     stop = true;
     return true;
   }
@@ -146,9 +147,8 @@ void EmitStep(EmitContext& ctx, size_t depth) {
   const bool src_bound = src_slot != kInvalidNode;
   const bool dst_bound = dst_slot != kInvalidNode;
 
-  if (ctx.DeadlineHit()) return;
-
   if (src_bound && dst_bound) {
+    if (ctx.DeadlineHit()) return;
     ++ctx.stats.extensions;
     if (set.Contains(src_slot, dst_slot) && ChordsAccept(ctx, depth)) {
       EmitStep(ctx, depth + 1);
@@ -161,6 +161,10 @@ void EmitStep(EmitContext& ctx, size_t depth) {
                                             ? set.FwdNeighbors(src_slot)
                                             : set.BwdNeighbors(dst_slot);
     NodeId& free_slot = src_bound ? dst_slot : src_slot;
+    // One probe tick per candidate and one for the step: a last depth
+    // that fans out wide still polls the deadline and cancel flag every
+    // `stride` rows.
+    if (ctx.DeadlineHit(static_cast<uint32_t>(ext.size()) + 1)) return;
     if ((*ctx.depth_chords)[depth].all_isect) {
       IntersectAndRecurse(ctx, depth, ext, free_slot);
       return;
@@ -177,6 +181,7 @@ void EmitStep(EmitContext& ctx, size_t depth) {
   // Neither endpoint bound: only legal for the first edge of a connected
   // plan; enumerate the whole edge set.
   WF_DCHECK(depth == 0) << "disconnected embedding plan";
+  if (ctx.DeadlineHit()) return;
   set.ForEachPair([&](NodeId u, NodeId v) {
     if (ctx.stop) return;
     ++ctx.stats.extensions;
@@ -257,17 +262,17 @@ Result<DefactorizerStats> Defactorizer::Emit(
     ctx.chord_checks = &chord_checks;
     ctx.depth_chords = &depth_chords;
     ctx.probe = InterruptProbe(options.deadline, options.cancel);
-    ctx.binding.assign(query_->NumVars(), kInvalidNode);
+    ctx.binding = WorkerRow(query_->NumVars(), kInvalidNode);
     ctx.isect_a.resize(plan.join_order.size());
     ctx.isect_b.resize(plan.join_order.size());
   };
 
-  ThreadPool* pool = options.pool;
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      !plan.join_order.empty()) {
+  if (!plan.join_order.empty() &&
+      options.fork.Forks(ag_->Set(plan.join_order[0]).Size(), kRootMorsel)) {
     // Parallel enumeration: partition the first edge's pairs; each worker
     // runs the same recursive EmitStep over its own context from depth 1,
     // draining embeddings through a private SinkShard.
+    ThreadPool* pool = options.fork.pool();
     const uint32_t e0 = plan.join_order[0];
     const QueryEdge& qe0 = query_->Edge(e0);
     const PairSet& first = ag_->Set(e0);
@@ -357,6 +362,7 @@ Result<DefactorizerStats> Defactorizer::Emit(
         });
 
     DefactorizerStats stats;
+    stats.forked = true;
     stats.extensions = prefilter_extensions;
     stats.chord_rejections = prefilter_rejections;
     bool timed_out = st.IsTimedOut();

@@ -4,11 +4,11 @@
 #include <atomic>
 
 #include "core/answer_graph.h"
+#include "core/fork_rule.h"
 #include "exec/sink.h"
 #include "planner/plan.h"
 #include "query/query_graph.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace wireframe {
@@ -16,19 +16,22 @@ namespace wireframe {
 /// Phase-2 options.
 struct DefactorizerOptions {
   Deadline deadline;
-  /// Worker pool for parallel enumeration (not owned). Null or
-  /// single-threaded runs the exact serial code path. Parallelism is over
-  /// partitions of the first join edge's AG pairs: each worker owns a
-  /// full recursive enumeration context and a SinkShard, so the shared
-  /// sink is only locked at batch granularity. The embedding multiset is
-  /// identical for every thread count; only emission order differs.
-  ThreadPool* pool = nullptr;
+  /// The engine's fork rule (core/fork_rule.h). Enumeration forks onto
+  /// fork.pool() only when the first join edge's AG pairs clear the
+  /// rule's floor at 64 pairs per morsel; otherwise the exact serial
+  /// path runs inline (the default rule never forks). A forked run
+  /// partitions the first edge's pairs: each worker owns a full
+  /// recursive enumeration context and a SinkShard, so the shared sink
+  /// is only locked at batch granularity. The embedding multiset and the
+  /// stats are identical on both paths and for every thread count; only
+  /// emission order differs.
+  ForkRule fork;
   /// Optional cooperative cancellation (borrowed, may be null): polled on
   /// the same amortized cadence as the deadline; once set, enumeration
   /// stops and Emit returns Status::Cancelled (rows already handed to the
   /// sink stay emitted).
   std::atomic<bool>* cancel = nullptr;
-  /// Scheduler weight of every task-group this run submits to `pool`
+  /// Scheduler weight of every task-group this run submits to the pool
   /// (service class of the owning query; see ParallelForOptions::weight).
   uint32_t weight = 1;
   /// Use materialized chord pair sets as early filters: as soon as both
@@ -50,6 +53,9 @@ struct DefactorizerStats {
   uint64_t extensions = 0;
   /// Branches cut by a chord filter before reaching full depth.
   uint64_t chord_rejections = 0;
+  /// True iff the run forked onto the pool (the fork rule's decision;
+  /// the only field that differs between the two paths).
+  bool forked = false;
 };
 
 /// Embedding generation (paper §3): joins the answer graph's edge sets in

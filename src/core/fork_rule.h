@@ -7,19 +7,24 @@
 
 namespace wireframe {
 
-/// Phase 1's one fork rule: a step goes onto the shared pool only when
-/// its own input covers at least two morsels per pool thread; otherwise
-/// it runs its serial path inline on the driver thread.
+/// The engine's one fork rule: a step goes onto the shared pool only
+/// when its own input covers at least two morsels per pool thread;
+/// otherwise it runs its serial path inline on the driver thread.
 ///
-/// Every phase-1 step that forks (an extension level, a chord pass, a
-/// burnback drain, the freeze) pays one task-group round trip, and the
-/// answer graph of a selective query is a few hundred pairs: dispatch
-/// pays off only when each morsel's work outweighs it (morsel-driven
-/// parallelism, Leis et al., SIGMOD 2014). Each step counts its own
-/// input (frontier items, chord pairs, seed deaths, live pairs) and
-/// names its own morsel size. The serial and the parallel path of every
-/// step build the same answer graph, edge-walk count and burned-pair
-/// count, so the rule decides speed only.
+/// Every step that forks pays one task-group round trip, and the answer
+/// graph of a selective query is a few hundred pairs: dispatch pays off
+/// only when each morsel's work outweighs it (morsel-driven parallelism,
+/// Leis et al., SIGMOD 2014). Each step counts its own input and names
+/// its own morsel size:
+///   - phase 1: an extension level's frontier items, a chord pass's
+///     pairs, a burnback drain's seed deaths, the freeze's live pairs;
+///   - phase 2: the defactorizer's first-edge pairs, the bushy
+///     executor's common join keys, probe rows and result rows, and
+///     each counting-DP sweep's keys.
+/// The serial and the parallel path of every step produce the same
+/// answer graph, rows, counts and counters, so the rule decides speed
+/// only. The phase-1 generator builds its rule from GeneratorOptions;
+/// WireframeEngine builds phase 2's once per run from the pool it leases.
 class ForkRule {
  public:
   /// Never forks.

@@ -8,7 +8,7 @@ namespace wireframe {
 Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
                                        const AnswerGraph& ag,
                                        const EngineOptions& options,
-                                       ThreadPool* pool, Sink* sink,
+                                       const ForkRule& fork, Sink* sink,
                                        WireframeRunDetail* detail) {
   bool emitted_by_bushy = false;
   if (options_.bushy_phase2) {
@@ -18,7 +18,7 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
       BushyExecutor executor(query, ag);
       BushyExecutorOptions bushy_options;
       bushy_options.deadline = options.deadline;
-      bushy_options.pool = pool;
+      bushy_options.fork = fork;
       bushy_options.cancel = options.runtime.cancel;
       bushy_options.weight = options.runtime.weight;
       WF_ASSIGN_OR_RETURN(detail->phase2_stats,
@@ -36,7 +36,7 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
     DefactorizerOptions defac_options;
     defac_options.deadline = options.deadline;
     defac_options.use_chords = options_.chords_in_phase2;
-    defac_options.pool = pool;
+    defac_options.fork = fork;
     defac_options.cancel = options.runtime.cancel;
     defac_options.weight = options.runtime.weight;
     WF_ASSIGN_OR_RETURN(
@@ -49,13 +49,13 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
 Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
                                       const AnswerGraph& ag,
                                       const EngineOptions& options,
-                                      ThreadPool* pool, Sink* sink,
+                                      const ForkRule& fork, Sink* sink,
                                       const Stopwatch& total,
                                       WireframeRunDetail* detail) {
   Stopwatch phase2_watch;
   const AggregateSpec& spec = query.aggregate();
   if (spec.kind == AggregateKind::kNone) {
-    WF_RETURN_NOT_OK(EmitEmbeddings(query, ag, options, pool, sink, detail));
+    WF_RETURN_NOT_OK(EmitEmbeddings(query, ag, options, fork, sink, detail));
     detail->stats.output_tuples = detail->phase2_stats.emitted;
   } else {
     Stopwatch aggregate_watch;
@@ -67,7 +67,7 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
       AggregateExecutor executor(query, ag);
       AggregateExecutorOptions exec_options;
       exec_options.deadline = options.deadline;
-      exec_options.pool = pool;
+      exec_options.fork = fork;
       exec_options.cancel = options.runtime.cancel;
       exec_options.weight = options.runtime.weight;
       WF_ASSIGN_OR_RETURN(detail->aggregate,
@@ -75,7 +75,7 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
     } else {
       EnumeratingAggregateSink fold(spec);
       WF_RETURN_NOT_OK(
-          EmitEmbeddings(query, ag, options, pool, &fold, detail));
+          EmitEmbeddings(query, ag, options, fork, &fold, detail));
       detail->aggregate = fold.TakeResult();
       detail->aggregate.fallback_reason = plan.reason;
     }
@@ -144,8 +144,8 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   detail.stats.burnback_handoffs = gen.burnback_handoffs;
 
   // --- Phase 2: embeddings, or the factorized aggregate DP. ---
-  WF_RETURN_NOT_OK(
-      ExecutePhase2(query, *gen.ag, options, pool, sink, total, &detail));
+  WF_RETURN_NOT_OK(ExecutePhase2(query, *gen.ag, options, ForkRule(pool),
+                                 sink, total, &detail));
   detail.ag = std::move(gen.ag);
   return detail;
 }
@@ -157,11 +157,10 @@ Result<WireframeRunDetail> WireframeEngine::RunOverAg(
   Stopwatch total;
 
   PoolLease lease(options);
-  ThreadPool* pool = lease.get();
   detail.threads = lease.threads();
   detail.cyclic = !AnalyzeShape(query).acyclic;
-  WF_RETURN_NOT_OK(
-      ExecutePhase2(query, ag, options, pool, sink, total, &detail));
+  WF_RETURN_NOT_OK(ExecutePhase2(query, ag, options, ForkRule(lease.get()),
+                                 sink, total, &detail));
   return detail;
 }
 

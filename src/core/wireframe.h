@@ -6,6 +6,7 @@
 
 #include "core/bushy_executor.h"
 #include "core/defactorizer.h"
+#include "core/fork_rule.h"
 #include "core/generator.h"
 #include "exec/aggregate_executor.h"
 #include "exec/engine.h"
@@ -117,15 +118,16 @@ class WireframeEngine : public Engine {
   /// the bushy/pipelined embedding executors, then fills the phase-2
   /// time, the total time since `total` started, the output tuples and
   /// |AG|. An aggregate answer lands in `detail->aggregate` only; no
-  /// row of it reaches `sink`.
+  /// row of it reaches `sink`. `fork` is phase 2's one fork rule, which
+  /// RunDetailed and RunOverAg each build once from their leased pool.
   Status ExecutePhase2(const QueryGraph& query, const AnswerGraph& ag,
-                       const EngineOptions& options, ThreadPool* pool,
+                       const EngineOptions& options, const ForkRule& fork,
                        Sink* sink, const Stopwatch& total,
                        WireframeRunDetail* detail);
   /// The plain embedding-enumeration phase 2 (bushy when configured and
   /// plannable, pipelined defactorizer otherwise).
   Status EmitEmbeddings(const QueryGraph& query, const AnswerGraph& ag,
-                        const EngineOptions& options, ThreadPool* pool,
+                        const EngineOptions& options, const ForkRule& fork,
                         Sink* sink, WireframeRunDetail* detail);
 
   WireframeOptions options_;

@@ -17,8 +17,9 @@ using U128 = unsigned __int128;
 
 constexpr U128 kU128Max = ~static_cast<U128>(0);
 
-/// Morsel size of the DP sweeps: one item is a whole key span, so keep
-/// chunks small enough for the shared pool to interleave queries.
+/// Morsel size of the DP sweeps, and their morsel in the fork rule: one
+/// item is a whole key span, so keep chunks small enough for the shared
+/// pool to interleave queries.
 constexpr uint64_t kDpMorselSize = 64;
 
 /// Span-gather lookahead of the positional sweeps, mirroring
@@ -94,18 +95,19 @@ struct DpState {
 };
 
 /// Runs `body(worker, begin, end)` over [0, n): morsel-parallel on the
-/// borrowed pool, or serially with the usual amortized interrupt probe.
+/// fork rule's pool when `n` clears its floor, or serially with the
+/// usual amortized interrupt probe.
 template <typename Body>
 Status RunLoop(uint64_t n, const AggregateExecutorOptions& options,
                const Body& body, std::atomic<bool>* stop = nullptr) {
-  if (options.pool != nullptr) {
+  if (options.fork.Forks(n, kDpMorselSize)) {
     ParallelForOptions po;
     po.morsel_size = kDpMorselSize;
     po.deadline = options.deadline;
     po.cancel = options.cancel;
     po.stop = stop;
     po.weight = options.weight;
-    return options.pool->ParallelFor(n, po, body);
+    return options.fork.pool()->ParallelFor(n, po, body);
   }
   InterruptProbe probe(options.deadline, options.cancel, /*stride=*/1024);
   for (uint64_t i = 0; i < n; ++i) {
@@ -310,7 +312,7 @@ Status RunCycleSweep(const QueryGraph& query, const AnswerGraph& ag,
   std::vector<T>& totals = *totals_out;
 
   const uint32_t workers =
-      options.pool != nullptr ? options.pool->num_threads() : 1;
+      options.fork.pool() != nullptr ? options.fork.pool()->num_threads() : 1;
   std::vector<std::vector<NodeId>> scratch_a(workers), scratch_b(workers);
   std::atomic<bool> witness{false};  // ASK stops at the first hit
 
@@ -440,6 +442,21 @@ bool EnumeratingAggregateSink::Emit(const std::vector<NodeId>& binding) {
     default:
       return true;
   }
+}
+
+bool EnumeratingAggregateSink::EmitBatch(const NodeId* rows, size_t n,
+                                         size_t width, size_t* handed) {
+  if (!ReadsOnlyCount()) return Sink::EmitBatch(rows, n, width, handed);
+  // ASK takes one row and declines it; COUNT(*) takes them all.
+  *handed = spec_.kind == AggregateKind::kAsk ? std::min<size_t>(n, 1) : n;
+  rows_seen_ += *handed;
+  return spec_.kind != AggregateKind::kAsk || n == 0;
+}
+
+bool EnumeratingAggregateSink::ReadsOnlyCount() const {
+  return spec_.kind == AggregateKind::kAsk ||
+         (spec_.kind == AggregateKind::kCount &&
+          spec_.group_var == kInvalidVar);
 }
 
 AggregateResult EnumeratingAggregateSink::TakeResult() {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/answer_graph.h"
+#include "core/fork_rule.h"
 #include "exec/sink.h"
 #include "planner/aggregate_planner.h"
 #include "query/query_graph.h"
@@ -16,8 +17,6 @@
 #include "util/timer.h"
 
 namespace wireframe {
-
-class ThreadPool;
 
 /// A count that survives past 2^64. The DP runs in u64 with explicit
 /// overflow checks and reruns in saturating unsigned 128-bit arithmetic
@@ -92,7 +91,11 @@ class EnumeratingAggregateSink : public Sink {
       : spec_(spec) {}
 
   bool Emit(const std::vector<NodeId>& binding) override;
+  bool EmitBatch(const NodeId* rows, size_t n, size_t width,
+                 size_t* handed) override;
   uint64_t count() const override { return rows_seen_; }
+  /// Ungrouped COUNT(*) and ASK fold only the row count.
+  bool ReadsOnlyCount() const override;
 
   /// Finalizes (sorts groups ascending) and returns the result.
   AggregateResult TakeResult();
@@ -106,8 +109,11 @@ class EnumeratingAggregateSink : public Sink {
 
 struct AggregateExecutorOptions {
   Deadline deadline;
-  /// Borrowed morsel pool (null runs the exact serial path).
-  ThreadPool* pool = nullptr;
+  /// The engine's fork rule (core/fork_rule.h): each DP sweep forks onto
+  /// fork.pool() only when its keys clear the rule's floor at 64 keys
+  /// per morsel, and otherwise runs its exact serial loop inline (the
+  /// default rule never forks). Both paths give the same result.
+  ForkRule fork;
   /// Cooperative cancellation, polled like the deadline. May be null.
   std::atomic<bool>* cancel = nullptr;
   /// Task-group scheduler weight on a shared pool.

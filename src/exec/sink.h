@@ -40,6 +40,12 @@ class Sink {
 
   /// Number of tuples accepted so far.
   virtual uint64_t count() const = 0;
+
+  /// True iff this sink reads only how many rows it receives, never
+  /// their values: EmitBatch may then be called with `rows` null. A
+  /// SinkShard in front of such a sink counts its rows instead of
+  /// copying them, and hands the inner sink counts at each drain.
+  virtual bool ReadsOnlyCount() const { return false; }
 };
 
 /// Counts embeddings without storing them (the benches' default: the
@@ -56,6 +62,7 @@ class CountingSink : public Sink {
     return true;
   }
   uint64_t count() const override { return count_; }
+  bool ReadsOnlyCount() const override { return true; }
 
  private:
   uint64_t count_ = 0;
@@ -80,6 +87,7 @@ class LimitSink : public Sink {
     return count_ < limit_;
   }
   uint64_t count() const override { return count_; }
+  bool ReadsOnlyCount() const override { return true; }
 
  private:
   uint64_t limit_;
@@ -167,6 +175,7 @@ class RowBudgetSink : public Sink {
   bool EmitBatch(const NodeId* rows, size_t n, size_t width,
                  size_t* handed) override;
   uint64_t count() const override { return count_; }
+  bool ReadsOnlyCount() const override { return inner_->ReadsOnlyCount(); }
   bool exhausted() const { return exhausted_; }
 
  private:
@@ -179,51 +188,61 @@ class RowBudgetSink : public Sink {
 /// Per-worker front for a shared sink during parallel enumeration.
 ///
 /// Sinks are not thread-safe, so each worker emits into its own SinkShard,
-/// which buffers rows row-major and hands the whole buffer to the shared
-/// inner sink in one EmitBatch call under the shared mutex. Draining is
-/// opportunistic: once `batch` rows are buffered the shard only
-/// try_locks, and a shard that finds another one draining keeps
-/// producing — retrying every `batch` rows — instead of convoying behind
-/// the lock. Only a buffer at its cap (kCapBatches x `batch` rows) waits
-/// for the lock, which bounds the memory a shard holds.
+/// which holds rows and hands them to the shared inner sink in one
+/// EmitBatch call under the shared mutex. Draining is opportunistic: once
+/// `batch` rows are held the shard only try_locks, and a shard that finds
+/// another one draining keeps producing — retrying every `batch` rows —
+/// instead of convoying behind the lock. Only a shard at its cap
+/// (kCapBatches x `batch` rows) waits for the lock.
+///
+/// Rows are held one of two ways, fixed by the inner sink:
+///   - copied row-major into a reused buffer, which the cap bounds;
+///   - counted only, when the inner sink ReadsOnlyCount() (CountingSink,
+///     LimitSink, a RowBudgetSink over either): no row is copied, and a
+///     drain hands the inner sink the count with null rows. Counts merge
+///     at each drain and at the final Flush, so a LIMIT or row budget
+///     still declines at the exact row, just as with copied rows.
 ///
 /// When the inner sink declines a row (LIMIT-style consumers), the shard
 /// raises the shared stop flag; other shards observe it on their next
-/// Emit and stop producing, and rows still buffered after the stop are
+/// Emit and stop producing, and rows still held after the stop are
 /// discarded, never handed to the inner sink.
 class alignas(kCacheLineBytes) SinkShard : public Sink {
  public:
-  /// Buffer cap in batches: the most rows a shard holds while another
-  /// shard drains.
+  /// Cap in batches: the most rows a shard holds while another shard
+  /// drains.
   static constexpr size_t kCapBatches = 8;
 
   SinkShard(Sink* inner, std::mutex* mu, std::atomic<bool>* stop,
             size_t batch = 256)
       : inner_(inner), mu_(mu), stop_(stop),
-        batch_(std::max<size_t>(1, batch)), cap_(batch_ * kCapBatches) {}
+        batch_(std::max<size_t>(1, batch)), cap_(batch_ * kCapBatches),
+        count_only_(inner->ReadsOnlyCount()) {}
 
   bool Emit(const std::vector<NodeId>& binding) override {
     if (stop_->load(std::memory_order_relaxed)) return false;
-    // Steady-state buffering is a memcpy into reused capacity — no
-    // per-row allocation on the hot path.
     if (width_ == 0) {
       width_ = binding.size();
-      buffer_.reserve(cap_ * width_);
+      if (!count_only_) buffer_.reserve(cap_ * width_);
     }
-    buffer_.insert(buffer_.end(), binding.begin(), binding.end());
-    ++buffered_rows_;
-    if (buffered_rows_ % batch_ != 0) return true;
-    if (buffered_rows_ >= cap_) return Flush();
+    // Steady-state copying is a memcpy into reused capacity — no
+    // per-row allocation on the hot path.
+    if (!count_only_) {
+      buffer_.insert(buffer_.end(), binding.begin(), binding.end());
+    }
+    ++held_rows_;
+    if (held_rows_ % batch_ != 0) return true;
+    if (held_rows_ >= cap_) return Flush();
     std::unique_lock<std::mutex> lock(*mu_, std::try_to_lock);
     if (!lock.owns_lock()) return true;  // another shard drains: produce on
     return DrainLocked();
   }
 
-  /// Drains the buffer to the inner sink, waiting for the lock. Returns
-  /// false if production should stop. Call once more after the parallel
-  /// loop so the tail batch is not lost.
+  /// Drains the held rows to the inner sink, waiting for the lock.
+  /// Returns false if production should stop. Call once more after the
+  /// parallel loop so the tail batch is not lost.
   bool Flush() {
-    if (buffered_rows_ == 0) {
+    if (held_rows_ == 0) {
       return !stop_->load(std::memory_order_relaxed);
     }
     std::lock_guard<std::mutex> lock(*mu_);
@@ -233,23 +252,23 @@ class alignas(kCacheLineBytes) SinkShard : public Sink {
   /// Rows actually handed to the inner sink by this shard.
   uint64_t count() const override { return forwarded_; }
 
-  /// Rows buffered and not yet drained (never more than kCapBatches x
-  /// `batch`).
-  size_t buffered_rows() const { return buffered_rows_; }
+  /// Rows copied into the buffer and not yet drained (never more than
+  /// kCapBatches x `batch`; always 0 in front of a count-only sink).
+  size_t buffered_rows() const { return count_only_ ? 0 : held_rows_; }
 
  private:
-  /// Hands the whole buffer to the inner sink; `mu_` must be held.
+  /// Hands the held rows to the inner sink; `mu_` must be held.
   bool DrainLocked() {
     if (!stop_->load(std::memory_order_relaxed)) {
       size_t handed = 0;
-      if (!inner_->EmitBatch(buffer_.data(), buffered_rows_, width_,
-                             &handed)) {
+      if (!inner_->EmitBatch(count_only_ ? nullptr : buffer_.data(),
+                             held_rows_, width_, &handed)) {
         stop_->store(true, std::memory_order_relaxed);
       }
       forwarded_ += handed;
     }
     buffer_.clear();
-    buffered_rows_ = 0;
+    held_rows_ = 0;
     return !stop_->load(std::memory_order_relaxed);
   }
 
@@ -258,9 +277,10 @@ class alignas(kCacheLineBytes) SinkShard : public Sink {
   std::atomic<bool>* stop_;
   size_t batch_;
   size_t cap_;
+  bool count_only_;
   size_t width_ = 0;
-  size_t buffered_rows_ = 0;
-  std::vector<NodeId> buffer_;  // row-major, buffered_rows_ x width_
+  size_t held_rows_ = 0;
+  std::vector<NodeId> buffer_;  // row-major, held_rows_ x width_ (copied)
   uint64_t forwarded_ = 0;
 };
 

@@ -246,10 +246,16 @@ void SocketServer::AcceptLoop() {
     conn->stats.id = conn->id;
     conn->stats.peer = PeerName(conn->sock.fd());
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    // Register before the threads start, so stats() lists the connection
+    // from its first served frame on. Only this thread reaps, and Stop()
+    // joins it before taking conns_, so neither can see the thread
+    // handles before they are set.
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      conns_.push_back(conn);
+    }
     conn->writer = std::thread(&SocketServer::WriterLoop, this, conn);
     conn->reader = std::thread(&SocketServer::ReaderLoop, this, conn);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(std::move(conn));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace wireframe {
 
@@ -28,6 +29,17 @@ inline constexpr VarId kInvalidVar = std::numeric_limits<VarId>::max();
 /// Alignment of per-worker state written on every row (enumeration
 /// contexts, sink shards), so neighbouring workers never share a line.
 inline constexpr size_t kCacheLineBytes = 64;
+
+/// A per-worker row of `n` cells set to `value`, with two cache lines of
+/// spare capacity after them. Workers rewrite such rows (bindings, join
+/// scratch) on every emitted row; without the slack, small heap blocks
+/// allocated back to back would put two workers' rows on one line.
+inline std::vector<NodeId> WorkerRow(size_t n, NodeId value) {
+  std::vector<NodeId> row;
+  row.reserve(n + 2 * kCacheLineBytes / sizeof(NodeId));
+  row.assign(n, value);
+  return row;
+}
 
 /// A directed labeled edge of the data graph: ⟨subject, predicate, object⟩.
 struct Triple {

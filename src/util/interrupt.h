@@ -24,12 +24,19 @@ class InterruptProbe {
   explicit InterruptProbe(const Deadline& deadline,
                           const std::atomic<bool>* cancel = nullptr,
                           uint32_t stride = 4096)
-      : deadline_(deadline), cancel_(cancel), stride_(stride) {}
+      : deadline_(deadline), cancel_(cancel), stride_(stride),
+        countdown_(stride) {}
 
   /// True once the run should stop (cancelled or past the deadline).
-  bool Hit() {
+  /// `ticks` > 1 charges that many calls at once, for a loop about to
+  /// run that many iterations.
+  bool Hit(uint32_t ticks = 1) {
     if (triggered_) return true;
-    if (++tick_ % stride_ != 0) return false;
+    if (countdown_ > ticks) {
+      countdown_ -= ticks;
+      return false;
+    }
+    countdown_ = stride_;
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       cancelled_ = true;
       triggered_ = true;
@@ -69,7 +76,7 @@ class InterruptProbe {
   Deadline deadline_;
   const std::atomic<bool>* cancel_ = nullptr;
   uint32_t stride_ = 4096;
-  uint32_t tick_ = 0;
+  uint32_t countdown_ = 4096;  // calls left until the next real check
   bool triggered_ = false;
   bool cancelled_ = false;
 };

@@ -95,6 +95,10 @@ uint64_t RunShards(Sink* inner, const std::vector<Rows>& per_thread,
       for (const std::vector<NodeId>& row : per_thread[t]) {
         if (!shards[t].Emit(row)) break;
         EXPECT_LE(shards[t].buffered_rows(), batch * SinkShard::kCapBatches);
+        // In front of a count-only sink a shard counts, never copies.
+        if (inner->ReadsOnlyCount()) {
+          EXPECT_EQ(shards[t].buffered_rows(), 0u);
+        }
       }
     });
   }
@@ -139,6 +143,50 @@ TEST(SinkShardParallelTest, LimitSinkNeverReceivesARowAfterDeclining) {
       EXPECT_EQ(handed, limit);
     }
   }
+}
+
+TEST(SinkShardParallelTest, CountingSinkMergesExactCountsWithoutCopies) {
+  std::vector<Rows> per_thread;
+  uint64_t total = 0;
+  for (NodeId t = 0; t < 4; ++t) {
+    per_thread.push_back(MakeRows(t, 5000 + 37 * t));
+    total += per_thread.back().size();
+  }
+  for (size_t batch : {1, 7, 256}) {
+    CountingSink inner;
+    ASSERT_TRUE(inner.ReadsOnlyCount());
+    EXPECT_EQ(RunShards(&inner, per_thread, batch), total) << batch;
+    EXPECT_EQ(inner.count(), total) << "batch " << batch;
+  }
+}
+
+TEST(SinkShardParallelTest, LimitSinkAcceptsExactlyItsLimit) {
+  std::vector<Rows> per_thread;
+  for (NodeId t = 0; t < 4; ++t) per_thread.push_back(MakeRows(t, 20000));
+  for (uint64_t limit : {1u, 5u, 300u, 4099u, 80000u}) {
+    LimitSink inner(limit);
+    ASSERT_TRUE(inner.ReadsOnlyCount());
+    // The declined row is handed too, as in the per-row loop.
+    EXPECT_EQ(RunShards(&inner, per_thread, 64), limit) << limit;
+    EXPECT_EQ(inner.count(), limit);
+  }
+}
+
+TEST(SinkShardParallelTest, RowBudgetOverACountingSinkStaysExact) {
+  std::vector<Rows> per_thread;
+  for (NodeId t = 0; t < 4; ++t) per_thread.push_back(MakeRows(t, 20000));
+  for (uint64_t budget : {1u, 300u, 4099u, 80000u}) {
+    CountingSink counter;
+    RowBudgetSink inner(&counter, budget);
+    ASSERT_TRUE(inner.ReadsOnlyCount());
+    RunShards(&inner, per_thread, 64);
+    EXPECT_EQ(counter.count(), budget);
+    EXPECT_EQ(inner.count(), budget);
+    // 80000 rows exactly fit the last budget: no row was refused.
+    EXPECT_EQ(inner.exhausted(), budget < 80000u) << budget;
+  }
+  CollectingSink rows;
+  EXPECT_FALSE(RowBudgetSink(&rows, 10).ReadsOnlyCount());
 }
 
 TEST(SinkShardParallelTest, BufferNeverExceedsItsCap) {

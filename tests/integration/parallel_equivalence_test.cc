@@ -170,18 +170,26 @@ TEST(ParallelEquivalenceTest, HashJoinBaselineAgreesAcrossThreadCounts) {
 
 // LIMIT-style consumers: a declined row must stop every worker, and the
 // inner sink must never see more rows than it accepted.
+// The 200 roots sit below the fork rule's floor at 4 threads, so phase 2
+// runs on the forced rule over the engine's answer graph.
 TEST(ParallelEquivalenceTest, LimitSinkStopsParallelEnumeration) {
   Database db = MakeChainBlowupGraph(200, 200, /*noise=*/0);
   Catalog cat = Catalog::Build(db.store());
   auto q = SparqlParser::ParseAndBind(
       "select * where { ?w A ?x . ?x B ?y . ?y C ?z . }", db);
   ASSERT_TRUE(q.ok());
-  WireframeEngine engine;
+  CountingSink all;
+  auto detail = WireframeEngine().RunDetailed(db, cat, *q, EngineOptions{},
+                                              &all);
+  ASSERT_TRUE(detail.ok()) << detail.status().ToString();
+  ThreadPool pool(4);
   LimitSink sink(10);
-  EngineOptions options;
-  options.threads = 4;
-  auto stats = engine.Run(db, cat, *q, options, &sink);
+  DefactorizerOptions options;
+  options.fork = ForkRule(&pool, /*force=*/true);
+  auto stats = Defactorizer(*q, *detail->ag)
+                   .Emit(detail->embedding_plan, &sink, options);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(stats->forked);
   EXPECT_EQ(sink.count(), 10u);
 }
 
